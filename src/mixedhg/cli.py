@@ -126,16 +126,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     h = documents.load(args.input)
     target = _parse_int_set(args.set)
-    spectrum = coloring.chromatic_spectrum(h)
-    feasible = set(spectrum.feasible_values())
-    problems = []
-    for k in sorted(target - feasible):
-        problems.append(f"{k} not feasible")
-    for k in sorted(feasible - target):
-        problems.append(f"{k} feasible but not in the target set")
-    for k, count in enumerate(spectrum.counts, start=1):
-        if count > 1:
-            problems.append(f"r_{k} = {count} (a one-realization allows at most 1)")
+    problems = search.realization_problems(coloring.chromatic_spectrum(h), target)
     if problems:
         print(f"not a one-realization of {{{','.join(map(str, sorted(target)))}}}:")
         for line in problems:

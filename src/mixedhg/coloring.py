@@ -10,10 +10,11 @@ results always come out in lexicographic restricted-growth order.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import MixedHypergraph
 
@@ -187,32 +188,34 @@ def _walk(
     rec(start, used0)
 
 
-def _assignments_from(plan, n, k, prefix) -> list[tuple[int, ...]]:
+def _list_shard(plan, n, k, prefixes) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
-    _walk(plan, n, k, prefix, n, lambda colors, used: out.append(tuple(colors)))
+    for prefix in prefixes:
+        _walk(plan, n, k, prefix, n, lambda colors, used: out.append(tuple(colors)))
     return out
 
 
-def _counts_from(plan, n, prefix, counts: list[int]) -> None:
-    _walk(plan, n, None, prefix, n, lambda colors, used: counts.__setitem__(used, counts[used] + 1))
+def _count_shard(plan, n, prefixes) -> list[int]:
+    counts = [0] * (n + 1)
+    for prefix in prefixes:
+        _walk(plan, n, None, prefix, n, lambda colors, used: counts.__setitem__(used, counts[used] + 1))
+    return counts
 
 
-def _prefix_list(plan, n, k, depth) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    _walk(plan, n, k, (), depth, lambda colors, used: out.append(tuple(colors[:depth])))
-    return out
-
-
-def _split_prefixes(plan, n, k, jobs) -> list[tuple[int, ...]]:
-    depth = 1
-    prefixes = _prefix_list(plan, n, k, depth)
-    while depth < n and len(prefixes) < 4 * jobs:
+def _prefix_shards(plan, n, k, jobs) -> list[list[tuple[int, ...]]]:
+    """Contiguous runs of the lexicographic walk prefixes, about four per
+    worker, so that the merged shard results equal a sequential walk."""
+    workers = worker_count(jobs)
+    prefixes: list[tuple[int, ...]] = [()]
+    depth = 0
+    while workers > 1 and depth < n and len(prefixes) < 4 * workers:
         depth += 1
-        prefixes = _prefix_list(plan, n, k, depth)
-    return prefixes
+        prefixes = []
+        _walk(plan, n, k, (), depth, lambda colors, used: prefixes.append(tuple(colors[:depth])))
+    return _chunk(prefixes, 4 * workers)
 
 
-def _chunk(items: list, pieces: int) -> list[list]:
+def _chunk(items: Sequence, pieces: int) -> list[Sequence]:
     pieces = max(1, min(pieces, len(items)))
     size, extra = divmod(len(items), pieces)
     chunks, at = [], 0
@@ -223,72 +226,52 @@ def _chunk(items: list, pieces: int) -> list[list]:
     return chunks
 
 
-def _pool(jobs: int) -> ProcessPoolExecutor:
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # platforms without fork
-        ctx = multiprocessing.get_context()
-    return ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+# --- process pool -----------------------------------------------------------
 
 
-def _collect_worker(args) -> list[tuple[int, ...]]:
-    h, k, prefixes = args
-    plan = _edge_plan(h)
-    out: list[tuple[int, ...]] = []
-    for prefix in prefixes:
-        out.extend(_assignments_from(plan, h.n, k, prefix))
-    return out
+def worker_count(jobs: int) -> int:
+    """Processes worth starting for ``jobs``: at least one, at most the CPUs
+    this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(jobs, cpus))
 
 
-def _count_worker(args) -> list[int]:
-    h, prefixes = args
-    plan = _edge_plan(h)
-    counts = [0] * (h.n + 1)
-    for prefix in prefixes:
-        _counts_from(plan, h.n, prefix, counts)
-    return counts
+_worker_task: tuple = ()  # (fn, shared), set once in each pool worker
 
 
-def _gather_assignments(h: MixedHypergraph, k: Optional[int], jobs: int) -> list[tuple[int, ...]]:
-    plan = _edge_plan(h)
-    if jobs <= 1:
-        return _assignments_from(plan, h.n, k, ())
-    prefixes = _split_prefixes(plan, h.n, k, jobs)
-    if len(prefixes) <= 1:
-        out: list[tuple[int, ...]] = []
-        for prefix in prefixes:
-            out.extend(_assignments_from(plan, h.n, k, prefix))
-        return out
-    # Contiguous chunks of the lexicographic prefix list keep the merged
-    # output identical to a sequential run for any worker count.
-    tasks = [(h, k, chunk) for chunk in _chunk(prefixes, jobs * 4)]
-    merged: list[tuple[int, ...]] = []
-    with _pool(jobs) as ex:
-        for part in ex.map(_collect_worker, tasks):
-            merged.extend(part)
-    return merged
+def _init_worker(fn, shared) -> None:
+    global _worker_task
+    _worker_task = (fn, shared)
 
 
-def _gather_counts(h: MixedHypergraph, jobs: int) -> list[int]:
-    plan = _edge_plan(h)
-    counts = [0] * (h.n + 1)
-    if jobs <= 1:
-        _counts_from(plan, h.n, (), counts)
-        return counts
-    prefixes = _split_prefixes(plan, h.n, None, jobs)
-    if len(prefixes) <= 1:
-        for prefix in prefixes:
-            _counts_from(plan, h.n, prefix, counts)
-        return counts
-    tasks = [(h, chunk) for chunk in _chunk(prefixes, jobs * 4)]
-    with _pool(jobs) as ex:
-        for part in ex.map(_count_worker, tasks):
-            for i, c in enumerate(part):
-                counts[i] += c
-    return counts
+def _run_shard(shard):
+    fn, shared = _worker_task
+    return fn(*shared, shard)
+
+
+def map_shards(fn: Callable, shared: tuple, shards: Sequence, jobs: int) -> list:
+    """``[fn(*shared, s) for s in shards]``, in shard order, over at most
+    ``worker_count(jobs)`` processes.
+
+    ``shared`` reaches each worker once, through the pool initializer; where
+    fork is available it is inherited and never pickled.  ``fn`` must be a
+    module-level function.
+    """
+    workers = min(worker_count(jobs), len(shards))
+    if workers <= 1:
+        return [fn(*shared, s) for s in shards]
+    ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_init_worker, initargs=(fn, shared)) as ex:
+        return list(ex.map(_run_shard, shards))
 
 
 # --- public operations ------------------------------------------------------
+
+
+def _partitions(h: MixedHypergraph, k: Optional[int], jobs: int) -> list[Partition]:
+    plan = _edge_plan(h)
+    parts = map_shards(_list_shard, (plan, h.n, k), _prefix_shards(plan, h.n, k, jobs), jobs)
+    return [Partition(a) for part in parts for a in part]
 
 
 def enumerate_strict(h: MixedHypergraph, k: int, jobs: int = 1) -> list[Partition]:
@@ -296,18 +279,20 @@ def enumerate_strict(h: MixedHypergraph, k: int, jobs: int = 1) -> list[Partitio
     lexicographic restricted-growth order."""
     if not 1 <= k <= h.n:
         raise ValueError(f"k={k} out of range 1..{h.n}")
-    return [Partition(a) for a in _gather_assignments(h, k, jobs)]
+    return _partitions(h, k, jobs)
 
 
 def all_feasible_partitions(h: MixedHypergraph, jobs: int = 1) -> list[Partition]:
     """Every feasible partition of ``h`` (any block count), in lexicographic
     restricted-growth order."""
-    return [Partition(a) for a in _gather_assignments(h, None, jobs)]
+    return _partitions(h, None, jobs)
 
 
 def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:
     """Count feasible partitions per block count; empty if uncolorable."""
-    counts = _gather_counts(h, jobs)
+    plan = _edge_plan(h)
+    parts = map_shards(_count_shard, (plan, h.n), _prefix_shards(plan, h.n, None, jobs), jobs)
+    counts = [sum(column) for column in zip(*parts)]
     top = 0
     for k in range(h.n, 0, -1):
         if counts[k]:

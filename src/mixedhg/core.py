@@ -15,14 +15,20 @@ Label = tuple[int, ...]
 ISO_VERTEX_CAP = 12
 
 
+def _is_int(x) -> bool:
+    """An ``int`` that is not a ``bool``: the document format has no booleans."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, kind: str) -> tuple[Edge, ...]:
     """Deduplicate, sort, and range-check an edge family."""
     out: set[Edge] = set()
     for raw in edges:
+        raw = tuple(raw)  # checked before dedup, which would fold True into 1
+        for v in raw:
+            if not _is_int(v) or not 0 <= v < n:
+                raise ValueError(f"{kind}-edge {list(raw)}: vertex {v!r} out of range 0..{n - 1}")
         members = sorted(set(raw))
-        for v in members:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise ValueError(f"{kind}-edge {members}: vertex {v!r} out of range 0..{n - 1}")
         if len(members) < 2:
             raise ValueError(f"{kind}-edge {members}: an edge needs at least two vertices")
         out.add(tuple(members))
@@ -51,7 +57,7 @@ class MixedHypergraph:
     labels: Optional[tuple[Label, ...]] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "c_edges", _canonical_edges(self.c_edges, self.n, "C"))
         object.__setattr__(self, "d_edges", _canonical_edges(self.d_edges, self.n, "D"))
@@ -60,7 +66,7 @@ class MixedHypergraph:
             if len(labs) != self.n:
                 raise ValueError(f"got {len(labs)} labels for {self.n} vertices")
             for lab in labs:
-                if not all(isinstance(x, int) for x in lab):
+                if not all(_is_int(x) for x in lab):
                     raise ValueError(f"label {lab!r} must be a tuple of integers")
             if len(set(labs)) != len(labs):
                 raise ValueError("vertex labels must be distinct")

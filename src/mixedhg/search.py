@@ -11,8 +11,6 @@ never examined.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
@@ -21,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import MixedHypergraph
-from .coloring import chromatic_spectrum
+from .coloring import Spectrum, _chunk, chromatic_spectrum, feasible_set, map_shards
 from .constructions import TargetSet, minimum_size, smallest_one_realization
 
 VERTEX_CAP = 6
@@ -66,18 +64,29 @@ class SearchReport:
 
 def is_realization(h: MixedHypergraph, values: Iterable[int]) -> bool:
     """Feasible set of ``h`` equals the given set."""
-    from .coloring import feasible_set
-
     return set(feasible_set(h)) == set(values)
+
+
+def realization_problems(spectrum: Spectrum, target: Iterable[int]) -> list[str]:
+    """Why a hypergraph with this spectrum is not a one-realization of the
+    target set: missing values, extra values, then block counts with more
+    than one feasible partition.  Empty exactly for a one-realization."""
+    wanted = set(target)
+    feasible = set(spectrum.feasible_values())
+    problems = [f"{k} not feasible" for k in sorted(wanted - feasible)]
+    problems += [f"{k} feasible but not in the target set" for k in sorted(feasible - wanted)]
+    problems += [
+        f"r_{k} = {count} (a one-realization allows at most 1)"
+        for k, count in enumerate(spectrum.counts, start=1)
+        if count > 1
+    ]
+    return problems
 
 
 def is_one_realization(h: MixedHypergraph, values: Iterable[int]) -> bool:
     """Feasible set equals the given set and no block count admits more than
     one feasible partition."""
-    spectrum = chromatic_spectrum(h)
-    if any(c > 1 for c in spectrum.counts):
-        return False
-    return set(spectrum.feasible_values()) == set(values)
+    return not realization_problems(chromatic_spectrum(h), values)
 
 
 def deletion_criticality(h: MixedHypergraph, values: Iterable[int]) -> list[tuple[int, bool]]:
@@ -165,29 +174,23 @@ def hypergraph_from_masks(
 
 # --- scan -------------------------------------------------------------------
 
-_SCAN_CTX: dict = {}
-
 _CHUNK = 1 << 15
 
 
-def _scan_range(bounds: tuple[int, int]):
-    """Stream candidates ``order[lo:hi]``; returns the first witness position
+def _scan(order, keys, n, c_subsets, d_subsets, target, span: range):
+    """Stream candidates ``order[span]``; returns the first witness position
     (or None), its masks, and the set of canonical keys seen."""
-    lo, hi = bounds
-    ctx = _SCAN_CTX
-    order, keys = ctx["order"], ctx["keys"]
-    n, nd = ctx["n"], len(ctx["d_subsets"])
-    target = ctx["target"]
+    nd = len(d_subsets)
     seen: set[int] = set()
-    for at in range(lo, hi, _CHUNK):
-        stop = min(at + _CHUNK, hi)
+    for at in range(span.start, span.stop, _CHUNK):
+        stop = min(at + _CHUNK, span.stop)
         flats = order[at:stop].tolist()
         kvals = keys[order[at:stop]].tolist()
         for off, (flat, key) in enumerate(zip(flats, kvals)):
             if key in seen:
                 continue
             seen.add(key)
-            h = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), ctx["c_subsets"], ctx["d_subsets"])
+            h = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), c_subsets, d_subsets)
             if is_one_realization(h, target):
                 return at + off, (flat >> nd, flat & ((1 << nd) - 1)), seen
     return None, None, seen
@@ -221,55 +224,19 @@ def bounded_minimality_search(
 
     keys = canonical_keys(n, c_subsets, d_subsets)
     order = _candidate_order(len(c_subsets), len(d_subsets))
-    ctx = {
-        "order": order,
-        "keys": keys,
-        "n": n,
-        "c_subsets": c_subsets,
-        "d_subsets": d_subsets,
-        "target": set(ts.values),
-    }
+    shards = _chunk(range(total), jobs)
+    results = map_shards(_scan, (order, keys, n, c_subsets, d_subsets, set(ts.values)), shards, jobs)
 
-    try:
-        fork = multiprocessing.get_context("fork")
-    except ValueError:
-        fork = None  # workers read the scan context through fork inheritance
-
-    global _SCAN_CTX
-    _SCAN_CTX = ctx
-    try:
-        if jobs <= 1 or fork is None or total < 4 * jobs:
-            results = [(0, total, *_scan_range((0, total)))]
-        else:
-            bounds = []
-            step, extra = divmod(total, jobs)
-            at = 0
-            for i in range(jobs):
-                width = step + (1 if i < extra else 0)
-                bounds.append((at, at + width))
-                at += width
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as ex:
-                results = [
-                    (lo, hi, *res) for (lo, hi), res in zip(bounds, ex.map(_scan_range, bounds))
-                ]
-    finally:
-        _SCAN_CTX = {}
-
-    hits = [(pos, masks) for _, _, pos, masks, _ in results if pos is not None]
+    hits = [(pos, masks) for pos, masks, _ in results if pos is not None]
     if not hits:
-        unique = set()
-        for _, _, _, _, seen in results:
-            unique |= seen
+        unique = set().union(*(seen for _, _, seen in results))
         ratio = (total - len(unique)) / total if total else 0.0
         return SearchReport(Outcome.EXHAUSTED, None, total, ratio)
 
     first, (c_mask, d_mask) = min(hits)
     # Shards beyond the winning position never influence a sequential run:
     # drop their keys so the report matches the jobs=1 scan bit for bit.
-    unique = set()
-    for lo, _, _, _, seen in results:
-        if lo <= first:
-            unique |= seen
+    unique = set().union(*(seen for span, (_, _, seen) in zip(shards, results) if span.start <= first))
     examined = first + 1
     witness = hypergraph_from_masks(n, c_mask, d_mask, c_subsets, d_subsets)
     return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - len(unique)) / examined)

@@ -143,6 +143,19 @@ class TestVerify:
         assert code == 1
         assert "4 feasible but not in the target set" in stdout
 
+    def test_failure_report_is_exact(self, capsys, tmp_path):
+        path = tmp_path / "free3.json"
+        save(MixedHypergraph(3, [], []), path)
+        code, stdout, _ = run(capsys, "verify", str(path), "--set", "2,4")
+        assert code == 1
+        assert stdout == (
+            "not a one-realization of {2,4}:\n"
+            "  - 4 not feasible\n"
+            "  - 1 feasible but not in the target set\n"
+            "  - 3 feasible but not in the target set\n"
+            "  - r_2 = 3 (a one-realization allows at most 1)\n"
+        )
+
     def test_malformed_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[]")

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from mixedhg import (
@@ -16,6 +18,8 @@ from mixedhg import (
     is_gap_free,
     is_proper,
 )
+
+from mixedhg.coloring import _edge_plan, _prefix_shards, map_shards, worker_count
 
 from _oracles import brute_force_spectrum, stirling_second
 
@@ -168,6 +172,28 @@ class TestFeasibleSets:
 
 
 class TestJobs:
+    def test_worker_count_is_capped_at_usable_cpus(self):
+        # only computed: a pool of this size is never started
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count()
+        assert 1 <= worker_count(5000) <= cpus
+        assert worker_count(1) == 1
+
+    def test_prefix_shards_follow_the_worker_cap(self):
+        h = MixedHypergraph(8, [], [])
+        shards = _prefix_shards(_edge_plan(h), h.n, None, 5000)
+        assert len(shards) <= 4 * worker_count(5000)
+        prefixes = [p for shard in shards for p in shard]
+        assert prefixes == sorted(prefixes)
+
+    def test_map_shards_keeps_shard_order(self):
+        shards = [2, 3, 5, 7, 11]
+        expected = [divmod(100, s) for s in shards]
+        for jobs in (1, 2):
+            assert map_shards(divmod, (100,), shards, jobs) == expected
+
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_enumeration_identical_across_workers(self, jobs):
         h = construct_one(TargetSet((5, 3, 2)))

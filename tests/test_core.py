@@ -35,6 +35,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MixedHypergraph(0, [], [])
 
+    def test_bools_rejected(self):
+        # documents have no booleans, so neither may a hypergraph
+        with pytest.raises(ValueError, match="positive integer"):
+            MixedHypergraph(True)
+        with pytest.raises(ValueError, match="out of range"):
+            MixedHypergraph(3, [(True, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            MixedHypergraph(3, [], [(1, True, 2)])
+        with pytest.raises(ValueError, match="integers"):
+            MixedHypergraph(2, [], [], labels=[(True,), (2,)])
+
     def test_duplicate_edges_collapse(self):
         h = MixedHypergraph(3, [(0, 1, 2), (2, 1, 0)], [(0, 1), (1, 0), (0, 1)])
         assert h.c_edges == ((0, 1, 2),)

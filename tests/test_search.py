@@ -106,7 +106,7 @@ class TestBoundedSearch:
         assert report.examined == 0
         assert report.witness is None
 
-    @pytest.mark.parametrize("values,n", [((3, 2), 3), ((4, 2), 4)])
+    @pytest.mark.parametrize("values,n", [((3, 2), 3), ((4, 2), 4), ((4, 3), 4)])
     def test_jobs_do_not_change_the_report(self, values, n):
         ts = TargetSet(values)
         baseline = bounded_minimality_search(ts, n)
