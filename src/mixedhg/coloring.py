@@ -206,9 +206,11 @@ def _prefix_shards(plan, n, k, jobs) -> list[list[tuple[int, ...]]]:
     """Contiguous runs of the lexicographic walk prefixes, about four per
     worker, so that the merged shard results equal a sequential walk."""
     workers = worker_count(jobs)
-    prefixes: list[tuple[int, ...]] = [()]
+    if workers == 1:
+        return [[()]]
+    prefixes: list[tuple[int, ...]] = []
     depth = 0
-    while workers > 1 and depth < n and len(prefixes) < 4 * workers:
+    while depth < n and len(prefixes) < 4 * workers:
         depth += 1
         prefixes = []
         _walk(plan, n, k, (), depth, lambda colors, used: prefixes.append(tuple(colors[:depth])))
@@ -232,8 +234,10 @@ def _chunk(items: Sequence, pieces: int) -> list[Sequence]:
 def worker_count(jobs: int) -> int:
     """Processes worth starting for ``jobs``: at least one, at most the CPUs
     this process may run on."""
+    if jobs <= 1:  # the common case skips the affinity query
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(jobs, cpus))
+    return min(jobs, cpus)
 
 
 _worker_task: tuple = ()  # (fn, shared), set once in each pool worker
@@ -292,7 +296,7 @@ def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:
     """Count feasible partitions per block count; empty if uncolorable."""
     plan = _edge_plan(h)
     parts = map_shards(_count_shard, (plan, h.n), _prefix_shards(plan, h.n, None, jobs), jobs)
-    counts = [sum(column) for column in zip(*parts)]
+    counts = list(map(sum, zip(*parts)))
     top = 0
     for k in range(h.n, 0, -1):
         if counts[k]:

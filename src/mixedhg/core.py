@@ -15,18 +15,13 @@ Label = tuple[int, ...]
 ISO_VERTEX_CAP = 12
 
 
-def _is_int(x) -> bool:
-    """An ``int`` that is not a ``bool``: the document format has no booleans."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, kind: str) -> tuple[Edge, ...]:
     """Deduplicate, sort, and range-check an edge family."""
     out: set[Edge] = set()
     for raw in edges:
-        raw = tuple(raw)  # checked before dedup, which would fold True into 1
+        raw = tuple(raw)  # exact ints, no bools; checked before dedup folds True into 1
         for v in raw:
-            if not _is_int(v) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"{kind}-edge {list(raw)}: vertex {v!r} out of range 0..{n - 1}")
         members = sorted(set(raw))
         if len(members) < 2:
@@ -57,7 +52,7 @@ class MixedHypergraph:
     labels: Optional[tuple[Label, ...]] = None
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "c_edges", _canonical_edges(self.c_edges, self.n, "C"))
         object.__setattr__(self, "d_edges", _canonical_edges(self.d_edges, self.n, "D"))
@@ -66,7 +61,7 @@ class MixedHypergraph:
             if len(labs) != self.n:
                 raise ValueError(f"got {len(labs)} labels for {self.n} vertices")
             for lab in labs:
-                if not all(_is_int(x) for x in lab):
+                if not all(type(x) is int for x in lab):
                     raise ValueError(f"label {lab!r} must be a tuple of integers")
             if len(set(labs)) != len(labs):
                 raise ValueError("vertex labels must be distinct")
