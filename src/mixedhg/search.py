@@ -1,12 +1,13 @@
 """Realization checks, deletion criticality, and a capped minimality search.
 
 The search enumerates every hypergraph on ``n`` vertices whose C-edges all
-have one fixed size and whose D-edges all have another, rejects isomorphic
-duplicates via a canonical form (the minimum of the edge-set bit masks over
-all vertex permutations), and tests survivors for being a one-realization of
-the target set.  The uniform edge sizes and the small vertex cap make this
-evidence about minimality, not a proof: a non-uniform or larger hypergraph is
-never examined.
+have one fixed size and whose D-edges all have another, and tests each for
+being a one-realization of the target set with partition bitsets (see
+``_kill_tables``).  Isomorphic duplicates are counted via a canonical form
+(the minimum of the edge-set bit masks over all vertex permutations).  The
+uniform edge sizes and the small vertex cap make this evidence about
+minimality, not a proof: a non-uniform or larger hypergraph is never
+examined.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
-from typing import Iterable, Optional
+from math import factorial
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .core import MixedHypergraph
-from .coloring import Spectrum, _chunk, chromatic_spectrum, feasible_set, map_shards
+from .coloring import Spectrum, all_feasible_partitions, chromatic_spectrum, feasible_set
 from .constructions import TargetSet, minimum_size, smallest_one_realization
 
 VERTEX_CAP = 6
@@ -113,39 +115,73 @@ def edge_subsets(n: int, size: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), size))
 
 
-def _mask_image_table(image: list[int], nbits: int) -> np.ndarray:
-    """``table[mask]`` = mask with every set bit ``i`` moved to ``image[i]``."""
-    table = np.zeros(1 << nbits, dtype=np.int64)
-    for i in range(nbits):
+def _or_table(values: np.ndarray) -> np.ndarray:
+    """``table[mask]`` = OR of ``values[i]`` over the set bits ``i`` of ``mask``."""
+    table = np.zeros((1 << len(values),) + values.shape[1:], dtype=values.dtype)
+    for i, value in enumerate(values):
         half = 1 << i
-        table[half : 2 * half] = table[:half] | (1 << image[i])
+        table[half : 2 * half] = table[:half] | value
     return table
 
 
-def canonical_keys(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> np.ndarray:
-    """Canonical form of every (C-mask, D-mask) candidate pair.
-
-    Entry ``mask_c << len(d_subsets) | mask_d`` holds the minimum, over all
-    vertex permutations, of the permuted pair packed the same way.  Two
-    candidates get equal keys exactly when they are isomorphic.
-    """
-    nc, nd = len(c_subsets), len(d_subsets)
+def _subset_images(
+    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
+) -> Iterator[tuple[list[int], list[int]]]:
+    """For each vertex permutation in turn, the index every C-subset and every
+    D-subset moves to."""
     c_index = {s: i for i, s in enumerate(c_subsets)}
     d_index = {s: i for i, s in enumerate(d_subsets)}
-    best: Optional[np.ndarray] = None
-    packed = np.empty((1 << nc, 1 << nd), dtype=np.int64)
     for perm in permutations(range(n)):
-        c_image = [c_index[tuple(sorted(perm[v] for v in s))] for s in c_subsets]
-        d_image = [d_index[tuple(sorted(perm[v] for v in s))] for s in d_subsets]
-        c_table = _mask_image_table(c_image, nc) << nd
-        d_table = _mask_image_table(d_image, nd)
-        np.bitwise_or(c_table[:, None], d_table[None, :], out=packed)
-        if best is None:
-            best = packed.copy()
-        else:
-            np.minimum(best, packed, out=best)
-    assert best is not None
-    return best.ravel()
+        yield (
+            [c_index[tuple(sorted(perm[v] for v in s))] for s in c_subsets],
+            [d_index[tuple(sorted(perm[v] for v in s))] for s in d_subsets],
+        )
+
+
+def canonical_keys(
+    n: int,
+    c_subsets: list[tuple[int, ...]],
+    d_subsets: list[tuple[int, ...]],
+    flats: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Canonical form of the candidates ``flats`` (default: all of them).
+
+    Candidate ``mask_c << len(d_subsets) | mask_d`` maps to the minimum, over
+    all vertex permutations, of the permuted pair packed the same way.  Two
+    candidates get equal keys exactly when they are isomorphic.
+    """
+    nd = len(d_subsets)
+    if flats is None:
+        flats = np.arange(1 << (len(c_subsets) + nd), dtype=np.int64)
+    c_masks, d_masks = flats >> nd, flats & ((1 << nd) - 1)
+    best = np.array(flats, dtype=np.int64)
+    for c_image, d_image in _subset_images(n, c_subsets, d_subsets):
+        c_table = _or_table(1 << np.array(c_image, dtype=np.int64)) << nd
+        d_table = _or_table(1 << np.array(d_image, dtype=np.int64))
+        np.minimum(best, c_table[c_masks] | d_table[d_masks], out=best)
+    return best
+
+
+def _cycle_count(image: list[int]) -> int:
+    seen = [False] * len(image)
+    cycles = 0
+    for i in range(len(image)):
+        cycles += not seen[i]
+        while not seen[i]:
+            seen[i] = True
+            i = image[i]
+    return cycles
+
+
+def class_count(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> int:
+    """Isomorphism classes of the whole candidate space, by Burnside's lemma:
+    the mean over vertex permutations of 2^(cycles on C-subsets + cycles on
+    D-subsets), the number of candidates the permutation fixes."""
+    fixed = sum(
+        1 << (_cycle_count(c_image) + _cycle_count(d_image))
+        for c_image, d_image in _subset_images(n, c_subsets, d_subsets)
+    )
+    return fixed // factorial(n)
 
 
 def _candidate_order(nc: int, nd: int) -> np.ndarray:
@@ -172,28 +208,54 @@ def hypergraph_from_masks(
     return MixedHypergraph(n, c, d)
 
 
-# --- scan -------------------------------------------------------------------
+# --- partition kill masks ---------------------------------------------------
+#
+# A candidate's feasible partitions are those that none of its edges kills: a
+# C-edge kills the partitions in which it is rainbow, a D-edge those in which
+# it is monochromatic.  With the Bell(n) partitions of n <= 6 vertices as the
+# bits of at most four uint64 words, a candidate's spectrum is a popcount of
+# its feasible bits per block count.
+
+
+def _kill_tables(
+    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition bitsets for the candidate space on ``n`` vertices.
+
+    Bit ``j`` of a row stands for the ``j``-th restricted-growth partition.
+    Returns the kill masks ORed over every C-mask, the same over every D-mask,
+    and one row per block count ``k = 1..n`` holding the partitions with
+    ``k`` blocks.
+    """
+    parts = np.array([p.assignment for p in all_feasible_partitions(MixedHypergraph(n, [], []))])
+    words = -(-len(parts) // 64)
+
+    def pack(rows: list[np.ndarray]) -> np.ndarray:
+        bits = np.zeros((len(rows), 64 * words), dtype=bool)
+        bits[:, : len(parts)] = np.reshape(rows, (len(rows), len(parts)))
+        return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+    def distinct(s: tuple[int, ...]) -> np.ndarray:
+        members = np.sort(parts[:, list(s)], axis=1)
+        return 1 + np.count_nonzero(np.diff(members, axis=1), axis=1)
+
+    kill_c = pack([distinct(s) == len(s) for s in c_subsets])
+    kill_d = pack([distinct(s) == 1 for s in d_subsets])
+    blocks = pack([parts.max(axis=1) + 1 == k for k in range(1, n + 1)])
+    return _or_table(kill_c), _or_table(kill_d), blocks
+
+
+def _spectra(kill_c: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, flats: np.ndarray, nd: int) -> np.ndarray:
+    """Feasible partitions per block count of the candidates ``flats``:
+    row ``i``, column ``k - 1`` counts those of ``flats[i]`` with ``k`` blocks."""
+    feasible = ~(kill_c[flats >> nd] | kill_d[flats & ((1 << nd) - 1)])
+    # built block count by block count: comparisons along a long axis are fast
+    return np.array([np.bitwise_count(feasible & row).sum(axis=1, dtype=np.uint8) for row in blocks]).T
+
+
+# --- search -----------------------------------------------------------------
 
 _CHUNK = 1 << 15
-
-
-def _scan(order, keys, n, c_subsets, d_subsets, target, span: range):
-    """Stream candidates ``order[span]``; returns the first witness position
-    (or None), its masks, and the set of canonical keys seen."""
-    nd = len(d_subsets)
-    seen: set[int] = set()
-    for at in range(span.start, span.stop, _CHUNK):
-        stop = min(at + _CHUNK, span.stop)
-        flats = order[at:stop].tolist()
-        kvals = keys[order[at:stop]].tolist()
-        for off, (flat, key) in enumerate(zip(flats, kvals)):
-            if key in seen:
-                continue
-            seen.add(key)
-            h = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), c_subsets, d_subsets)
-            if is_one_realization(h, target):
-                return at + off, (flat >> nd, flat & ((1 << nd) - 1)), seen
-    return None, None, seen
 
 
 def bounded_minimality_search(
@@ -204,11 +266,13 @@ def bounded_minimality_search(
 ) -> SearchReport:
     """Exhaust the uniform-edge-size candidate space on ``n`` vertices.
 
-    Candidates are visited in deterministic order (fewest edges first); each
-    isomorphism class is spectrum-tested once.  The report carries the first
-    witness in that order, the number of candidates enumerated before
-    stopping, and the fraction removed as isomorphic duplicates.  Workers only
-    shard the candidate range; the report is identical for any ``jobs``.
+    Candidates are visited in deterministic order (fewest edges first); the
+    report carries the first one-realization in that order, the number of
+    candidates enumerated before stopping, and the fraction of them that are
+    isomorphic duplicates of an earlier candidate.  Isomorphic candidates
+    share a spectrum, so the first hit is also the first hit among class
+    representatives.  ``jobs`` is accepted like elsewhere in the package, but
+    the search runs vectorised in this process and starts no workers.
     """
     budget = budget or SearchBudget()
     if n < 1:
@@ -218,25 +282,23 @@ def bounded_minimality_search(
 
     c_subsets = edge_subsets(n, budget.c_edge_size)
     d_subsets = edge_subsets(n, budget.d_edge_size)
-    total = 1 << (len(c_subsets) + len(d_subsets))
+    nc, nd = len(c_subsets), len(d_subsets)
+    total = 1 << (nc + nd)
     if total > budget.max_candidates:
         return SearchReport(Outcome.BUDGET_EXCEEDED, None, 0, 0.0)
 
-    keys = canonical_keys(n, c_subsets, d_subsets)
-    order = _candidate_order(len(c_subsets), len(d_subsets))
-    shards = _chunk(range(total), jobs)
-    results = map_shards(_scan, (order, keys, n, c_subsets, d_subsets, set(ts.values)), shards, jobs)
-
-    hits = [(pos, masks) for pos, masks, _ in results if pos is not None]
-    if not hits:
-        unique = set().union(*(seen for _, _, seen in results))
-        ratio = (total - len(unique)) / total if total else 0.0
-        return SearchReport(Outcome.EXHAUSTED, None, total, ratio)
-
-    first, (c_mask, d_mask) = min(hits)
-    # Shards beyond the winning position never influence a sequential run:
-    # drop their keys so the report matches the jobs=1 scan bit for bit.
-    unique = set().union(*(seen for span, (_, _, seen) in zip(shards, results) if span.start <= first))
-    examined = first + 1
-    witness = hypergraph_from_masks(n, c_mask, d_mask, c_subsets, d_subsets)
-    return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - len(unique)) / examined)
+    kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+    want = np.array([int(k in ts.values) for k in range(1, n + 1)])
+    order = _candidate_order(nc, nd)
+    # a target above n needs more blocks than vertices: nothing can hit
+    stop = total if max(ts.values) <= n else 0
+    for at in range(0, stop, _CHUNK):
+        flats = order[at : at + _CHUNK]
+        hits = np.flatnonzero((_spectra(kill_c, kill_d, blocks, flats, nd) == want).all(axis=1))
+        if len(hits):
+            examined = at + int(hits[0]) + 1
+            flat = int(flats[hits[0]])
+            unique = len(np.unique(canonical_keys(n, c_subsets, d_subsets, order[:examined])))
+            witness = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), c_subsets, d_subsets)
+            return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)
+    return SearchReport(Outcome.EXHAUSTED, None, total, (total - class_count(n, c_subsets, d_subsets)) / total)

@@ -21,6 +21,7 @@ from mixedhg import (
     is_proper,
     minimum_size,
 )
+from mixedhg.documents import dumps, loads
 
 from _oracles import (
     all_restricted_growth_strings,
@@ -145,3 +146,10 @@ def test_construction_size_and_colorings(ts):
 def test_partition_blocks_round_trip(h):
     for p in all_feasible_partitions(h):
         assert Partition.from_blocks(p.blocks) == p
+
+
+@given(hypergraphs(max_n=7))
+def test_document_round_trip(h):
+    text = dumps(h)
+    assert loads(text) == h
+    assert dumps(loads(text)) == text

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,17 @@ from mixedhg import (
     minimum_size,
     smallest_one_realization,
 )
-from mixedhg.search import canonical_keys, edge_subsets, hypergraph_from_masks
+from mixedhg.search import (
+    _candidate_order,
+    _kill_tables,
+    _spectra,
+    canonical_keys,
+    class_count,
+    edge_subsets,
+    hypergraph_from_masks,
+)
+
+from _oracles import brute_force_spectrum
 
 
 class TestRealizationPredicates:
@@ -121,6 +134,21 @@ class TestBoundedSearch:
                 report = bounded_minimality_search(ts, n)
                 assert report.outcome is Outcome.EXHAUSTED, (values, n)
 
+    @pytest.mark.parametrize(
+        "values,c_size,d_size,expected",
+        [
+            ((6, 5), 6, 2, ("witness-found", 65400, 0.9953058103975535)),
+            ((3, 2), 5, 5, ("exhausted", 4096, 0.9794921875)),
+        ],
+    )
+    def test_six_vertices_use_multi_word_masks(self, values, c_size, d_size, expected):
+        # Bell(6) = 203 partitions need four 64-bit words per mask
+        budget = SearchBudget(max_vertices=6, c_edge_size=c_size, d_edge_size=d_size)
+        report = bounded_minimality_search(TargetSet(values), 6, budget)
+        assert (report.outcome.value, report.examined, report.dedup_ratio) == expected
+        if report.witness is not None:
+            assert is_one_realization(report.witness, values)
+
     def test_witness_at_the_formula_size_for_4_3(self):
         # delta({4,3}) = 4 and the variant-two instance is (3,2)-uniform,
         # so the capped search must find some witness on 4 vertices
@@ -179,3 +207,49 @@ class TestCanonicalKeys:
             key = int(keys[probe])
             assert bin(key >> nd).count("1") == bin(probe >> nd).count("1")
             assert bin(key & (1 << nd) - 1).count("1") == bin(probe & (1 << nd) - 1).count("1")
+
+
+def class_scan(ts, n, c_size, d_size):
+    """Reference search: spectrum-test the first candidate of each
+    isomorphism class in candidate order, stop at the first one-realization."""
+    c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+    nd = len(d_subsets)
+    order = _candidate_order(len(c_subsets), nd).tolist()
+    keys = canonical_keys(n, c_subsets, d_subsets)
+    seen = set()
+    for pos, flat in enumerate(order):
+        if keys[flat] in seen:
+            continue
+        seen.add(keys[flat])
+        h = hypergraph_from_masks(n, flat >> nd, flat & (1 << nd) - 1, c_subsets, d_subsets)
+        if is_one_realization(h, ts.values):
+            return SearchReport(Outcome.WITNESS_FOUND, h, pos + 1, (pos + 1 - len(seen)) / (pos + 1))
+    return SearchReport(Outcome.EXHAUSTED, None, len(order), (len(order) - len(seen)) / len(order))
+
+
+class TestKillMasks:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("c_size,d_size", [(3, 2), (2, 3)])
+    def test_search_matches_the_class_scan(self, n, c_size, d_size):
+        budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size)
+        for values in itertools.combinations(range(2, 6), 2):
+            ts = TargetSet(values)
+            assert bounded_minimality_search(ts, n, budget) == class_scan(ts, n, c_size, d_size), values
+
+    def test_spectra_match_brute_force(self):
+        n = 5
+        c_subsets, d_subsets = edge_subsets(n, 3), edge_subsets(n, 2)
+        nd = len(d_subsets)
+        kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+        flats = np.array(random.Random(5).sample(range(1 << (len(c_subsets) + nd)), 200))
+        for flat, counts in zip(flats.tolist(), _spectra(kill_c, kill_d, blocks, flats, nd).tolist()):
+            h = hypergraph_from_masks(n, flat >> nd, flat & (1 << nd) - 1, c_subsets, d_subsets)
+            top = max((k for k, c in enumerate(counts, start=1) if c), default=0)
+            assert tuple(counts[:top]) == brute_force_spectrum(h), flat
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_burnside_count_matches_the_keys(self, n):
+        for c_size, d_size in itertools.product(range(2, n + 1), repeat=2):
+            c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+            keys = canonical_keys(n, c_subsets, d_subsets)
+            assert class_count(n, c_subsets, d_subsets) == len(np.unique(keys)), (c_size, d_size)
