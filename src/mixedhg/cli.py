@@ -24,19 +24,19 @@ from .constructions import (
 from .core import MixedHypergraph, are_isomorphic
 
 
-def _parse_target_set(text: str) -> TargetSet:
+def _parse_ints(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"--set expects comma-separated integers, got {text!r}") from None
-    return TargetSet(tuple(values))
+
+
+def _parse_target_set(text: str) -> TargetSet:
+    return TargetSet(tuple(_parse_ints(text)))
 
 
 def _parse_int_set(text: str) -> set[int]:
-    try:
-        values = {int(part) for part in text.split(",") if part.strip()}
-    except ValueError:
-        raise ValueError(f"--set expects comma-separated integers, got {text!r}") from None
+    values = set(_parse_ints(text))
     if not values or min(values) < 1:
         raise ValueError("--set expects one or more positive integers")
     return values
@@ -218,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-min", help="bounded exhaustive search for small one-realizations")
     p.add_argument("--set", required=True, help="target set, e.g. 3,2")
     p.add_argument("--n", type=int, required=True, help="vertex count to search")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted like spectrum's; the search starts no processes")
     p.add_argument("--max-vertices", type=int, default=5, help="hard vertex cap")
     p.add_argument("--c-size", type=int, default=3, help="uniform C-edge size")
     p.add_argument("--d-size", type=int, default=2, help="uniform D-edge size")

@@ -13,7 +13,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import MixedHypergraph
@@ -214,18 +214,11 @@ def _prefix_shards(plan, n, k, jobs) -> list[list[tuple[int, ...]]]:
         depth += 1
         prefixes = []
         _walk(plan, n, k, (), depth, lambda colors, used: prefixes.append(tuple(colors[:depth])))
-    return _chunk(prefixes, 4 * workers)
-
-
-def _chunk(items: Sequence, pieces: int) -> list[Sequence]:
-    pieces = max(1, min(pieces, len(items)))
-    size, extra = divmod(len(items), pieces)
-    chunks, at = [], 0
-    for i in range(pieces):
-        step = size + (1 if i < extra else 0)
-        chunks.append(items[at : at + step])
-        at += step
-    return chunks
+    # one empty shard when no prefix survives (an uncolorable hypergraph)
+    pieces = max(1, min(4 * workers, len(prefixes)))
+    size, extra = divmod(len(prefixes), pieces)
+    bounds = [i * size + min(i, extra) for i in range(pieces + 1)]
+    return [prefixes[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # --- process pool -----------------------------------------------------------
@@ -240,33 +233,20 @@ def worker_count(jobs: int) -> int:
     return min(jobs, cpus)
 
 
-_worker_task: tuple = ()  # (fn, shared), set once in each pool worker
-
-
-def _init_worker(fn, shared) -> None:
-    global _worker_task
-    _worker_task = (fn, shared)
-
-
-def _run_shard(shard):
-    fn, shared = _worker_task
-    return fn(*shared, shard)
-
-
 def map_shards(fn: Callable, shared: tuple, shards: Sequence, jobs: int) -> list:
     """``[fn(*shared, s) for s in shards]``, in shard order, over at most
     ``worker_count(jobs)`` processes.
 
-    ``shared`` reaches each worker once, through the pool initializer; where
-    fork is available it is inherited and never pickled.  ``fn`` must be a
-    module-level function.
+    ``fn`` and ``shared`` are pickled with every shard, so both must be small
+    and ``fn`` a module-level function.  Workers are forked where the platform
+    allows it, which spares each one the package import.
     """
     workers = min(worker_count(jobs), len(shards))
     if workers <= 1:
         return [fn(*shared, s) for s in shards]
     ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_init_worker, initargs=(fn, shared)) as ex:
-        return list(ex.map(_run_shard, shards))
+    with ProcessPoolExecutor(workers, mp_context=ctx) as ex:
+        return list(ex.map(partial(fn, *shared), shards))
 
 
 # --- public operations ------------------------------------------------------

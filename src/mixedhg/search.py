@@ -3,8 +3,10 @@
 The search enumerates every hypergraph on ``n`` vertices whose C-edges all
 have one fixed size and whose D-edges all have another, and tests each for
 being a one-realization of the target set with partition bitsets (see
-``_kill_tables``).  Isomorphic duplicates are counted via a canonical form
-(the minimum of the edge-set bit masks over all vertex permutations).  The
+``_kill_tables``).  Isomorphism classes are counted per edge count by
+Polya's theorem (``class_counts``); only inside the layer of a witness are
+they told apart by a canonical form (the minimum of the edge-set bit masks
+over all vertex permutations).  The
 uniform edge sizes and the small vertex cap make this evidence about
 minimality, not a proof: a non-uniform or larger hypergraph is never
 examined.
@@ -12,10 +14,11 @@ examined.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -25,6 +28,9 @@ from .coloring import Spectrum, all_feasible_partitions, chromatic_spectrum, fea
 from .constructions import TargetSet, minimum_size, smallest_one_realization
 
 VERTEX_CAP = 6
+# at n <= 6 no space has between 2^21 and 2^26 candidates; the candidate
+# order of a 2^30 space would take 8 GiB
+CANDIDATE_CAP = 1 << 26
 
 
 class Outcome(str, Enum):
@@ -48,8 +54,8 @@ class SearchBudget:
             raise ValueError(f"max_vertices must be in 1..{VERTEX_CAP}")
         if self.c_edge_size < 2 or self.d_edge_size < 2:
             raise ValueError("edge sizes must be at least 2")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be positive")
+        if not 1 <= self.max_candidates <= CANDIDATE_CAP:
+            raise ValueError(f"max_candidates must be in 1..{CANDIDATE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -162,38 +168,43 @@ def canonical_keys(
     return best
 
 
-def _cycle_count(image: list[int]) -> int:
-    seen = [False] * len(image)
-    cycles = 0
-    for i in range(len(image)):
-        cycles += not seen[i]
-        while not seen[i]:
-            seen[i] = True
-            i = image[i]
-    return cycles
+def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> list[int]:
+    """``classes[m]``: the isomorphism classes of candidates with ``m`` edges.
 
-
-def class_count(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> int:
-    """Isomorphism classes of the whole candidate space, by Burnside's lemma:
-    the mean over vertex permutations of 2^(cycles on C-subsets + cycles on
-    D-subsets), the number of candidates the permutation fixes."""
-    fixed = sum(
-        1 << (_cycle_count(c_image) + _cycle_count(d_image))
-        for c_image, d_image in _subset_images(n, c_subsets, d_subsets)
-    )
-    return fixed // factorial(n)
+    By Polya's counting theorem, the mean over vertex permutations of the
+    coefficients of the product of ``1 + x^len`` over the permutation's
+    cycles on the C-subsets and on the D-subsets.  Permutations of one cycle
+    type give the same product, so each type is expanded once.
+    """
+    cycle_types: Counter[tuple[int, ...]] = Counter()
+    for c_image, d_image in _subset_images(n, c_subsets, d_subsets):
+        lengths = []
+        for image in (c_image, d_image):
+            seen = [False] * len(image)
+            for i in range(len(image)):
+                length = 0
+                while not seen[i]:
+                    seen[i] = True
+                    i = image[i]
+                    length += 1
+                if length:
+                    lengths.append(length)
+        cycle_types[tuple(sorted(lengths))] += 1
+    fixed = [0] * (len(c_subsets) + len(d_subsets) + 1)
+    for lengths, perms in cycle_types.items():
+        poly = [1] + [0] * (len(fixed) - 1)
+        for length in lengths:
+            for m in range(len(poly) - 1, length - 1, -1):
+                poly[m] += poly[m - length]
+        fixed = [f + perms * p for f, p in zip(fixed, poly)]
+    return [f // factorial(n) for f in fixed]
 
 
 def _candidate_order(nc: int, nd: int) -> np.ndarray:
-    """Flat candidate ids sorted by total edge count, then C-mask, then D-mask."""
-    pc = np.zeros(1, dtype=np.uint8)
-    for _ in range(nc):
-        pc = np.concatenate([pc, pc + 1])
-    pd = np.zeros(1, dtype=np.uint8)
-    for _ in range(nd):
-        pd = np.concatenate([pd, pd + 1])
-    total = (pc[:, None].astype(np.uint16) + pd[None, :]).ravel()
-    return np.argsort(total, kind="stable")
+    """Flat candidate ids sorted by total edge count, then C-mask, then D-mask:
+    a flat id's popcount is its edge count, so layer ``m`` starts at
+    ``sum(comb(nc + nd, j) for j < m)``."""
+    return np.argsort(np.bitwise_count(np.arange(1 << (nc + nd))), kind="stable")
 
 
 def hypergraph_from_masks(
@@ -290,6 +301,7 @@ def bounded_minimality_search(
     kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
     want = np.array([int(k in ts.values) for k in range(1, n + 1)])
     order = _candidate_order(nc, nd)
+    classes = class_counts(n, c_subsets, d_subsets)
     # a target above n needs more blocks than vertices: nothing can hit
     stop = total if max(ts.values) <= n else 0
     for at in range(0, stop, _CHUNK):
@@ -298,7 +310,12 @@ def bounded_minimality_search(
         if len(hits):
             examined = at + int(hits[0]) + 1
             flat = int(flats[hits[0]])
-            unique = len(np.unique(canonical_keys(n, c_subsets, d_subsets, order[:examined])))
+            # isomorphic candidates have equal edge counts: every class of the
+            # layers below the witness's is complete, keys split only its layer
+            edges = flat.bit_count()
+            start = sum(comb(nc + nd, j) for j in range(edges))
+            layer = canonical_keys(n, c_subsets, d_subsets, order[start:examined])
+            unique = sum(classes[:edges]) + len(np.unique(layer))
             witness = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), c_subsets, d_subsets)
             return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)
-    return SearchReport(Outcome.EXHAUSTED, None, total, (total - class_count(n, c_subsets, d_subsets)) / total)
+    return SearchReport(Outcome.EXHAUSTED, None, total, (total - sum(classes)) / total)

@@ -188,6 +188,16 @@ class TestSearchMin:
         assert code == 2
         assert "budget-exceeded" in stdout
 
+    def test_candidate_cap_exit(self, capsys):
+        # 2^35 candidates: rejected before the candidate order is built
+        code, stdout, stderr = run(
+            capsys, "search-min", "--set", "4,2", "--n", "6", "--max-vertices", "6",
+            "--max-candidates", str(1 << 35),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "max_candidates must be in 1..67108864" in stderr
+
     def test_jobs_do_not_change_output(self, capsys):
         outputs = set()
         for jobs in ("1", "2"):

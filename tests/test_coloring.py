@@ -223,3 +223,7 @@ class TestJobs:
             )
             assert all_feasible_partitions(h, jobs=2) == all_feasible_partitions(h)
             assert chromatic_spectrum(h, jobs=2) == chromatic_spectrum(h)
+        # uncolorable: no walk prefix survives, which leaves one empty shard
+        h = MixedHypergraph(5, [(0, 1)], [(0, 1)])
+        assert all_feasible_partitions(h, jobs=2) == []
+        assert chromatic_spectrum(h, jobs=2) == Spectrum(())

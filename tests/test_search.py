@@ -21,11 +21,12 @@ from mixedhg import (
     smallest_one_realization,
 )
 from mixedhg.search import (
+    CANDIDATE_CAP,
     _candidate_order,
     _kill_tables,
     _spectra,
     canonical_keys,
-    class_count,
+    class_counts,
     edge_subsets,
     hypergraph_from_masks,
 )
@@ -79,6 +80,9 @@ class TestBudget:
             SearchBudget(c_edge_size=1)
         with pytest.raises(ValueError):
             SearchBudget(max_candidates=0)
+        SearchBudget(max_candidates=CANDIDATE_CAP)
+        with pytest.raises(ValueError, match="max_candidates"):
+            SearchBudget(max_candidates=CANDIDATE_CAP + 1)
 
     def test_report_witness_consistency(self):
         with pytest.raises(ValueError):
@@ -135,16 +139,19 @@ class TestBoundedSearch:
                 assert report.outcome is Outcome.EXHAUSTED, (values, n)
 
     @pytest.mark.parametrize(
-        "values,c_size,d_size,expected",
+        "values,n,c_size,d_size,expected",
         [
-            ((6, 5), 6, 2, ("witness-found", 65400, 0.9953058103975535)),
-            ((3, 2), 5, 5, ("exhausted", 4096, 0.9794921875)),
+            # Bell(6) = 203 partitions need four 64-bit words per mask
+            ((6, 5), 6, 6, 2, ("witness-found", 65400, 0.9953058103975535)),
+            ((3, 2), 6, 5, 5, ("exhausted", 4096, 0.9794921875)),
+            # witnesses deep in the default n=5 space, whose layer holds many classes
+            ((4, 3), 5, 3, 2, ("witness-found", 60583, 0.9878183648878398)),
+            ((3, 2), 5, 3, 2, ("witness-found", 22415, 0.9848315859915235)),
         ],
     )
-    def test_six_vertices_use_multi_word_masks(self, values, c_size, d_size, expected):
-        # Bell(6) = 203 partitions need four 64-bit words per mask
+    def test_pinned_reports(self, values, n, c_size, d_size, expected):
         budget = SearchBudget(max_vertices=6, c_edge_size=c_size, d_edge_size=d_size)
-        report = bounded_minimality_search(TargetSet(values), 6, budget)
+        report = bounded_minimality_search(TargetSet(values), n, budget)
         assert (report.outcome.value, report.examined, report.dedup_ratio) == expected
         if report.witness is not None:
             assert is_one_realization(report.witness, values)
@@ -249,7 +256,10 @@ class TestKillMasks:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_burnside_count_matches_the_keys(self, n):
+        # per edge count m: the Polya count equals the distinct keys with m edges
         for c_size, d_size in itertools.product(range(2, n + 1), repeat=2):
             c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
             keys = canonical_keys(n, c_subsets, d_subsets)
-            assert class_count(n, c_subsets, d_subsets) == len(np.unique(keys)), (c_size, d_size)
+            edges = np.bitwise_count(np.arange(len(keys)))
+            expected = [len(np.unique(keys[edges == m])) for m in range(len(c_subsets) + len(d_subsets) + 1)]
+            assert class_counts(n, c_subsets, d_subsets) == expected, (c_size, d_size)
