@@ -206,7 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="chromatic spectrum of a document")
     p.add_argument("input", help="hypergraph document")
     p.add_argument("--list-colorings", action="store_true", help="include every feasible partition")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (output is identical)")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for --list-colorings (output is identical); counting starts none",
+    )
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.set_defaults(func=_cmd_spectrum)
 

@@ -3,20 +3,24 @@
 Colorings are counted as partitions of the vertex set (color names do not
 matter), encoded canonically as restricted-growth strings: vertex 0 is in
 block 0 and every later vertex uses either an existing block index or the
-next unused one.  Enumeration is depth-first over vertices in id order, so
-results always come out in lexicographic restricted-growth order.
+next unused one.  Listing is depth-first over vertices in id order, so
+results always come out in lexicographic restricted-growth order.  Counting
+is a frontier dynamic programme that never visits a partition one by one.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import MixedHypergraph
+from .core import Edge, MixedHypergraph
 
 FeasibleSet = tuple[int, ...]
 
@@ -36,7 +40,8 @@ class Partition:
         for v, b in enumerate(a):
             if not isinstance(b, int) or b < 0 or b > top + 1:
                 raise ValueError(f"assignment {a} is not a restricted-growth string (vertex {v})")
-            top = max(top, b)
+            if b > top:
+                top = b
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -131,7 +136,7 @@ def is_proper(h: MixedHypergraph, p: Partition) -> bool:
     return True
 
 
-# --- search engine ---------------------------------------------------------
+# --- listing: depth-first walk ---------------------------------------------
 #
 # Each edge is checked exactly when its highest vertex gets a block: at that
 # moment all members are assigned, so a monochromatic D-edge or a rainbow
@@ -154,11 +159,11 @@ def _walk(
     k: Optional[int],
     prefix: tuple[int, ...],
     depth: int,
-    visit: Callable[[list[int], int], None],
+    visit: Callable[[list[int]], None],
 ) -> None:
     """DFS over proper restricted-growth assignments extending ``prefix``.
 
-    ``visit(colors, used)`` fires at ``depth`` (block indices valid up to
+    ``visit(colors)`` fires at ``depth`` (block indices valid up to
     ``depth``).  With ``k`` set, branches that cannot hit exactly ``k`` blocks
     by vertex ``n`` are cut.
     """
@@ -170,7 +175,7 @@ def _walk(
         if k is not None and used + (n - v) < k:
             return
         if v == depth:
-            visit(colors, used)
+            visit(colors)
             return
         limit = used + 1 if (k is None or used < k) else used
         for b in range(limit):
@@ -191,15 +196,8 @@ def _walk(
 def _list_shard(plan, n, k, prefixes) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     for prefix in prefixes:
-        _walk(plan, n, k, prefix, n, lambda colors, used: out.append(tuple(colors)))
+        _walk(plan, n, k, prefix, n, lambda colors: out.append(tuple(colors)))
     return out
-
-
-def _count_shard(plan, n, prefixes) -> list[int]:
-    counts = [0] * (n + 1)
-    for prefix in prefixes:
-        _walk(plan, n, None, prefix, n, lambda colors, used: counts.__setitem__(used, counts[used] + 1))
-    return counts
 
 
 def _prefix_shards(plan, n, k, jobs) -> list[list[tuple[int, ...]]]:
@@ -213,12 +211,144 @@ def _prefix_shards(plan, n, k, jobs) -> list[list[tuple[int, ...]]]:
     while depth < n and len(prefixes) < 4 * workers:
         depth += 1
         prefixes = []
-        _walk(plan, n, k, (), depth, lambda colors, used: prefixes.append(tuple(colors[:depth])))
+        _walk(plan, n, k, (), depth, lambda colors: prefixes.append(tuple(colors[:depth])))
     # one empty shard when no prefix survives (an uncolorable hypergraph)
     pieces = max(1, min(4 * workers, len(prefixes)))
     size, extra = divmod(len(prefixes), pieces)
     bounds = [i * size + min(i, extra) for i in range(pieces + 1)]
     return [prefixes[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# --- counting: frontier dynamic programme ----------------------------------
+#
+# Vertices are placed one by one along an order.  The frontier is the placed
+# vertices that still belong to an edge whose last vertex is unplaced.  A
+# state is the partition restricted to the frontier, as a restricted-growth
+# string over the frontier in placement order, plus ``k``, the blocks used so
+# far; it maps to the number of proper partial partitions behind it.  A new
+# vertex joins a block holding a frontier vertex, or one of the ``k - a``
+# blocks holding none (``a`` frontier blocks; these blocks are alike for every
+# edge still to close), or opens a new one.  Edges are checked when their
+# last vertex is placed.  The cost grows with n times the number of frontier
+# states, not with the number of feasible partitions.
+
+
+def _steps(near: list[set[int]], order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``step[u]``, the step of ``order`` that places ``u``, and ``leave[u]``,
+    the step after which ``u`` leaves the frontier: the last of ``near[u]``."""
+    step = [0] * len(order)
+    for i, v in enumerate(order):
+        step[v] = i
+    return step, [max(map(step.__getitem__, vs)) for vs in near]
+
+
+def _frontier_width(near: list[set[int]], order: Sequence[int]) -> tuple[int, int]:
+    """Largest and total frontier size over the steps of ``order``."""
+    delta = [0] * (len(order) + 1)
+    for placed, left in zip(*_steps(near, order)):
+        delta[placed] += 1
+        delta[left] -= 1
+    widths = list(accumulate(delta[:-1]))
+    return max(widths), sum(widths)
+
+
+def _greedy_order(near: list[set[int]]) -> list[int]:
+    """Next is the unplaced vertex with the most placed neighbours, ties to
+    the lowest id."""
+    score = [0] * len(near)
+    unplaced = list(range(len(near)))
+    order = []
+    while unplaced:
+        v = max(unplaced, key=score.__getitem__)  # the first maximum: the lowest id
+        unplaced.remove(v)
+        order.append(v)
+        for u in near[v]:
+            score[u] += 1
+    return order
+
+
+def _neighbourhoods(h: MixedHypergraph) -> list[set[int]]:
+    """Each vertex with every vertex it shares an edge with."""
+    near = [{u} for u in range(h.n)]
+    for e in h.c_edges + h.d_edges:
+        for u in e:
+            near[u].update(e)
+    return near
+
+
+def _count_order(near: list[set[int]]) -> list[int]:
+    """Id order, or the greedy order where its frontier is narrower."""
+    ids = list(range(len(near)))
+    greedy = _greedy_order(near)
+    return greedy if _frontier_width(near, greedy) < _frontier_width(near, ids) else ids
+
+
+def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[int]]) -> list[int]:
+    """``counts[k]``: the feasible partitions of ``h`` with ``k`` blocks, for
+    ``k = 0..n``, by the frontier programme along ``order``; ``near`` is
+    ``_neighbourhoods(h)``."""
+    step, leave = _steps(near, order)
+    closing: list[list[tuple[bool, Edge]]] = [[] for _ in order]  # edges by last step
+    for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
+        for e in edges:
+            closing[max(map(step.__getitem__, e))].append((is_c, e))
+    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    frontier: list[int] = []
+    for i, v in enumerate(order):
+        slot = {u: j for j, u in enumerate(frontier)}
+        # a pair names one block v must join (C) or avoid (D); a longer edge
+        # is tested on the blocks of its other members
+        same, differ, checks = [], [], []
+        for is_c, e in closing[i]:
+            slots = [slot[u] for u in e if u != v]
+            if len(slots) > 1:
+                checks.append((is_c, itemgetter(*slots), len(slots)))
+            else:
+                (same if is_c else differ).append(slots[0])
+        kept = [j for j, u in enumerate(frontier) if leave[u] > i]
+        drops = len(kept) < len(frontier)
+        stays = leave[v] > i
+        frontier = [frontier[j] for j in kept] + [v] * stays
+        nxt: dict[tuple[tuple[int, ...], int], int] = defaultdict(int)
+        for (labels, k), count in states.items():
+            a = max(labels, default=-1) + 1
+            joins = set(range(a))  # frontier blocks v may join
+            joins.difference_update(map(labels.__getitem__, differ))
+            for j in same:
+                joins &= {labels[j]}
+            fresh = not same  # whether v may take a block without frontier vertices
+            for is_c, get, size in checks:
+                seen = set(get(labels))
+                if is_c:
+                    if len(seen) == size:  # rainbow so far: v must repeat one
+                        joins &= seen
+                        fresh = False
+                elif len(seen) == 1:  # monochromatic so far: v must differ
+                    joins -= seen
+            base, new = labels, a  # the frontier labels after the step, the next unused label
+            if drops:  # renumber by first occurrence
+                first: dict[int, int] = {}
+                base = tuple([first.setdefault(labels[j], len(first)) for j in kept])
+                new = len(first)
+            if not stays:  # v is forgotten: every block it may join leads to one state
+                ways = len(joins) + (k - a if fresh else 0)
+                if ways:
+                    nxt[base, k] += count * ways
+                if fresh:
+                    nxt[base, k + 1] += count
+                continue
+            # a block whose frontier vertices all left takes the next unused label
+            for x in [first.get(x, new) for x in joins] if drops else joins:
+                nxt[base + (x,), k] += count
+            if fresh:
+                if k > a:
+                    nxt[base + (new,), k] += count * (k - a)
+                nxt[base + (new,), k + 1] += count
+        states = nxt
+    counts = [0] * (h.n + 1)
+    for (_, k), count in states.items():
+        counts[k] = count
+    return counts
 
 
 # --- process pool -----------------------------------------------------------
@@ -273,10 +403,12 @@ def all_feasible_partitions(h: MixedHypergraph, jobs: int = 1) -> list[Partition
 
 
 def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:
-    """Count feasible partitions per block count; empty if uncolorable."""
-    plan = _edge_plan(h)
-    parts = map_shards(_count_shard, (plan, h.n), _prefix_shards(plan, h.n, None, jobs), jobs)
-    counts = list(map(sum, zip(*parts)))
+    """Count feasible partitions per block count; empty if uncolorable.
+
+    ``jobs`` is accepted like elsewhere in the package; counting runs in this
+    process and starts no workers."""
+    near = _neighbourhoods(h)
+    counts = _frontier_counts(h, _count_order(near), near)
     top = 0
     for k in range(h.n, 0, -1):
         if counts[k]:

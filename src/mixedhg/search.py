@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
-from math import comb, factorial
-from typing import Iterable, Iterator, Optional
+from math import comb, factorial, prod
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -131,17 +131,28 @@ def _or_table(values: np.ndarray) -> np.ndarray:
 
 
 def _subset_images(
-    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
+    perms: Iterable[Sequence[int]], c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
 ) -> Iterator[tuple[list[int], list[int]]]:
     """For each vertex permutation in turn, the index every C-subset and every
     D-subset moves to."""
     c_index = {s: i for i, s in enumerate(c_subsets)}
     d_index = {s: i for i, s in enumerate(d_subsets)}
-    for perm in permutations(range(n)):
+    for perm in perms:
         yield (
             [c_index[tuple(sorted(perm[v] for v in s))] for s in c_subsets],
             [d_index[tuple(sorted(perm[v] for v in s))] for s in d_subsets],
         )
+
+
+def _cycle_types(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The integer partitions of ``n`` (the cycle types of its permutations),
+    parts descending and at most ``largest``."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _cycle_types(n - part, part):
+            yield (part,) + rest
 
 
 def canonical_keys(
@@ -161,7 +172,7 @@ def canonical_keys(
         flats = np.arange(1 << (len(c_subsets) + nd), dtype=np.int64)
     c_masks, d_masks = flats >> nd, flats & ((1 << nd) - 1)
     best = np.array(flats, dtype=np.int64)
-    for c_image, d_image in _subset_images(n, c_subsets, d_subsets):
+    for c_image, d_image in _subset_images(permutations(range(n)), c_subsets, d_subsets):
         c_table = _or_table(1 << np.array(c_image, dtype=np.int64)) << nd
         d_table = _or_table(1 << np.array(d_image, dtype=np.int64))
         np.minimum(best, c_table[c_masks] | d_table[d_masks], out=best)
@@ -173,12 +184,22 @@ def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple
 
     By Polya's counting theorem, the mean over vertex permutations of the
     coefficients of the product of ``1 + x^len`` over the permutation's
-    cycles on the C-subsets and on the D-subsets.  Permutations of one cycle
-    type give the same product, so each type is expanded once.
+    cycles on the C-subsets and on the D-subsets.  Those cycles depend only
+    on the permutation's own cycle type, so one permutation of each type is
+    expanded, weighted by the ``n! / z`` permutations of that type.
     """
-    cycle_types: Counter[tuple[int, ...]] = Counter()
-    for c_image, d_image in _subset_images(n, c_subsets, d_subsets):
-        lengths = []
+    reps, weights = [], []
+    for lengths in _cycle_types(n):
+        perm: list[int] = []
+        for length in lengths:
+            start = len(perm)
+            perm += [start + (j + 1) % length for j in range(length)]
+        reps.append(perm)
+        z = prod(length for length in lengths) * prod(factorial(m) for m in Counter(lengths).values())
+        weights.append(factorial(n) // z)
+    fixed = [0] * (len(c_subsets) + len(d_subsets) + 1)
+    for weight, (c_image, d_image) in zip(weights, _subset_images(reps, c_subsets, d_subsets)):
+        poly = [1] + [0] * (len(fixed) - 1)
         for image in (c_image, d_image):
             seen = [False] * len(image)
             for i in range(len(image)):
@@ -188,15 +209,9 @@ def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple
                     i = image[i]
                     length += 1
                 if length:
-                    lengths.append(length)
-        cycle_types[tuple(sorted(lengths))] += 1
-    fixed = [0] * (len(c_subsets) + len(d_subsets) + 1)
-    for lengths, perms in cycle_types.items():
-        poly = [1] + [0] * (len(fixed) - 1)
-        for length in lengths:
-            for m in range(len(poly) - 1, length - 1, -1):
-                poly[m] += poly[m - length]
-        fixed = [f + perms * p for f, p in zip(fixed, poly)]
+                    for m in range(len(poly) - 1, length - 1, -1):
+                        poly[m] += poly[m - length]
+        fixed = [f + weight * p for f, p in zip(fixed, poly)]
     return [f // factorial(n) for f in fixed]
 
 

@@ -7,6 +7,7 @@ spectrum oracle filters them with the definitional properness check.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
 from mixedhg import MixedHypergraph, Partition, is_proper
@@ -48,6 +49,7 @@ def brute_force_spectrum(h: MixedHypergraph) -> tuple[int, ...]:
     return tuple(counts[1 : top + 1])
 
 
+@cache
 def stirling_second(n: int, k: int) -> int:
     """Partitions of an n-set into k nonempty blocks, by the recurrence."""
     if n == 0:

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 
 import pytest
 
@@ -19,7 +21,17 @@ from mixedhg import (
     is_proper,
 )
 
-from mixedhg.coloring import _edge_plan, _prefix_shards, map_shards, worker_count
+from mixedhg import coloring
+from mixedhg.coloring import (
+    _count_order,
+    _edge_plan,
+    _frontier_counts,
+    _greedy_order,
+    _neighbourhoods,
+    _prefix_shards,
+    map_shards,
+    worker_count,
+)
 
 from _oracles import brute_force_spectrum, stirling_second
 
@@ -149,6 +161,61 @@ class TestSpectrum:
         ]
         for h in cases:
             assert chromatic_spectrum(h).counts == brute_force_spectrum(h)
+
+
+def sparse_instance(seed: int) -> MixedHypergraph:
+    """13 vertices, 5 C-triples and 12 D-pairs drawn at random."""
+    rng = random.Random(seed)
+    triples = list(itertools.combinations(range(13), 3))
+    pairs = list(itertools.combinations(range(13), 2))
+    return MixedHypergraph(13, rng.sample(triples, 5), rng.sample(pairs, 12))
+
+
+class TestFrontierCounts:
+    def test_order_does_not_change_the_counts(self):
+        rng = random.Random(2011)
+        cases = [sparse_instance(seed) for seed in range(4)] + [
+            MixedHypergraph(5, [(0, 1)], [(0, 1)]),  # uncolorable bi-edge
+            MixedHypergraph(6, [(0, 5), (1, 2, 3, 4)], [(0, 2, 4), (3, 5)]),
+            construct_one(TargetSet((5, 3, 2))),
+            construct_two(TargetSet((4, 3))),
+        ]
+        for h in cases:
+            near = _neighbourhoods(h)
+            shuffled = list(range(h.n))
+            rng.shuffle(shuffled)
+            expected = _frontier_counts(h, range(h.n), near)
+            assert _frontier_counts(h, _greedy_order(near), near) == expected
+            assert _frontier_counts(h, shuffled, near) == expected
+
+    def test_greedy_order_is_kept_only_when_narrower(self):
+        # a path numbered from both ends: id order keeps half the path open
+        n = 10
+        path = [(i, n - 1 - i) for i in range(n // 2)] + [(n - 1 - i, i + 1) for i in range(n // 2 - 1)]
+        h = MixedHypergraph(n, [], path)
+        order = _count_order(_neighbourhoods(h))
+        assert order != list(range(n)) and sorted(order) == list(range(n))
+        # a greedy order as wide as id order is not taken
+        h = MixedHypergraph(4, [], [(0, 2), (0, 3), (1, 2)])
+        assert _greedy_order(_neighbourhoods(h)) == [0, 2, 1, 3]
+        assert _count_order(_neighbourhoods(h)) == [0, 1, 2, 3]
+
+    def test_edgeless_up_to_25_vertices(self):
+        # Bell(25) is about 4.6e18 partitions: out of reach of a walk
+        for n in range(1, 26):
+            expect = tuple(stirling_second(n, k) for k in range(1, n + 1))
+            assert chromatic_spectrum(MixedHypergraph(n, [], [])).counts == expect
+
+    def test_counting_starts_no_pool(self, monkeypatch):
+        h = sparse_instance(13)
+        baseline = chromatic_spectrum(h)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counting started a process pool")
+
+        monkeypatch.setattr(coloring, "ProcessPoolExecutor", refuse)
+        assert chromatic_spectrum(h, jobs=2) == baseline
+        assert sum(baseline.counts) > 0
 
 
 class TestFeasibleSets:

@@ -93,6 +93,17 @@ def test_spectrum_consistency(h):
     assert feasible_set(h) == tuple(k for k in range(1, h.n + 1) if spectrum.entry(k) > 0)
 
 
+@settings(max_examples=60)
+@given(hypergraphs(max_n=7))
+def test_frontier_counts_match_the_oracle_and_the_listing(h):
+    counts = chromatic_spectrum(h).counts
+    assert counts == brute_force_spectrum(h)
+    listed = [0] * len(counts)
+    for p in all_feasible_partitions(h):
+        listed[p.num_blocks - 1] += 1
+    assert tuple(listed) == counts
+
+
 @settings(max_examples=40)
 @given(hypergraphs(max_n=6), st.data())
 def test_feasible_partitions_restrict_properly(h, data):
