@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / verified, 1 verification negative, 2 invalid input or
-budget violation.  Reports on stdout are deterministic (worker counts and
-timing never change them); timing goes to stderr.
+budget violation.  Reports on stdout are deterministic (``--jobs`` and timing
+never change them, and no command starts worker processes); timing goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -113,6 +114,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     h = documents.load(args.input)
     started = time.perf_counter()
     spectrum = coloring.chromatic_spectrum(h, jobs=args.jobs)
+    total = sum(spectrum.counts)
+    if args.list_colorings and total > coloring.LIST_CAP:
+        print(f"error: {total} feasible partitions exceed the listing cap of {coloring.LIST_CAP}", file=sys.stderr)
+        return 2
     partitions = coloring.all_feasible_partitions(h, jobs=args.jobs) if args.list_colorings else None
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
     report = _spectrum_report(args.input, h, spectrum, partitions)
@@ -208,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-colorings", action="store_true", help="include every feasible partition")
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for --list-colorings (output is identical); counting starts none",
+        help="accepted for compatibility; counting and listing start no processes",
     )
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.set_defaults(func=_cmd_spectrum)

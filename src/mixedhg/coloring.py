@@ -3,26 +3,31 @@
 Colorings are counted as partitions of the vertex set (color names do not
 matter), encoded canonically as restricted-growth strings: vertex 0 is in
 block 0 and every later vertex uses either an existing block index or the
-next unused one.  Listing is depth-first over vertices in id order, so
-results always come out in lexicographic restricted-growth order.  Counting
-is a frontier dynamic programme that never visits a partition one by one.
+next unused one.  Listing is level by level in vertex id order, one
+vectorised step per vertex over all partial partitions at once, so results
+always come out in lexicographic restricted-growth order.  Counting is a
+frontier dynamic programme that never visits a partition one by one.  Every
+operation runs in this process: ``jobs`` is accepted and starts no workers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .core import Edge, MixedHypergraph
 
 FeasibleSet = tuple[int, ...]
+
+# the most partitions ``spectrum --list-colorings`` lists; the library's own
+# listing functions take no cap
+LIST_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -136,87 +141,48 @@ def is_proper(h: MixedHypergraph, p: Partition) -> bool:
     return True
 
 
-# --- listing: depth-first walk ---------------------------------------------
+# --- listing: level by level ----------------------------------------------
 #
-# Each edge is checked exactly when its highest vertex gets a block: at that
-# moment all members are assigned, so a monochromatic D-edge or a rainbow
-# C-edge kills the branch.  For exactly-k enumeration two more prunes apply:
-# block indices stay below k, and a branch dies when the unassigned vertices
-# cannot open enough new blocks to reach k.
+# The partial partitions of vertices 0..v-1 are the rows of one array, in
+# lexicographic order.  Vertex v extends each row by every block it may take:
+# an old block or the next unused one, and below k when k is set.  Each edge
+# is checked when its last vertex is placed, on all rows at once: a C-edge
+# whose other members are rainbow forces v into one of their blocks, a D-edge
+# whose other members share a block keeps v out of it.  The children of a row
+# come out in block order, so the rows stay lexicographic without a sort.
 
 
-def _edge_plan(h: MixedHypergraph) -> list[list[tuple[bool, tuple[int, ...]]]]:
-    plan: list[list[tuple[bool, tuple[int, ...]]]] = [[] for _ in range(h.n)]
+def _partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
+    """Every feasible partition of ``h`` (with exactly ``k`` blocks when
+    ``k`` is set) as one restricted-growth row, in lexicographic order."""
+    n = h.n
+    closing: list[list[tuple[bool, list[int]]]] = [[] for _ in range(n)]  # edges by last vertex
     for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
         for e in edges:
-            plan[e[-1]].append((is_c, e))
-    return plan
-
-
-def _walk(
-    plan: list[list[tuple[bool, tuple[int, ...]]]],
-    n: int,
-    k: Optional[int],
-    prefix: tuple[int, ...],
-    depth: int,
-    visit: Callable[[list[int]], None],
-) -> None:
-    """DFS over proper restricted-growth assignments extending ``prefix``.
-
-    ``visit(colors)`` fires at ``depth`` (block indices valid up to
-    ``depth``).  With ``k`` set, branches that cannot hit exactly ``k`` blocks
-    by vertex ``n`` are cut.
-    """
-    colors = list(prefix) + [-1] * (n - len(prefix))
-    start = len(prefix)
-    used0 = (max(prefix) + 1) if prefix else 0
-
-    def rec(v: int, used: int) -> None:
-        if k is not None and used + (n - v) < k:
-            return
-        if v == depth:
-            visit(colors)
-            return
-        limit = used + 1 if (k is None or used < k) else used
-        for b in range(limit):
-            colors[v] = b
-            ok = True
-            for is_c, members in plan[v]:
-                distinct = len({colors[w] for w in members})
-                if (distinct == len(members)) if is_c else (distinct == 1):
-                    ok = False
-                    break
-            if ok:
-                rec(v + 1, used + (1 if b == used else 0))
-        colors[v] = -1
-
-    rec(start, used0)
-
-
-def _list_shard(plan, n, k, prefixes) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for prefix in prefixes:
-        _walk(plan, n, k, prefix, n, lambda colors: out.append(tuple(colors)))
-    return out
-
-
-def _prefix_shards(plan, n, k, jobs) -> list[list[tuple[int, ...]]]:
-    """Contiguous runs of the lexicographic walk prefixes, about four per
-    worker, so that the merged shard results equal a sequential walk."""
-    workers = worker_count(jobs)
-    if workers == 1:
-        return [[()]]
-    prefixes: list[tuple[int, ...]] = []
-    depth = 0
-    while depth < n and len(prefixes) < 4 * workers:
-        depth += 1
-        prefixes = []
-        _walk(plan, n, k, (), depth, lambda colors: prefixes.append(tuple(colors[:depth])))
-    # one empty shard when no prefix survives (an uncolorable hypergraph)
-    pieces = max(1, min(4 * workers, len(prefixes)))
-    size, extra = divmod(len(prefixes), pieces)
-    bounds = [i * size + min(i, extra) for i in range(pieces + 1)]
-    return [prefixes[a:b] for a, b in zip(bounds, bounds[1:])]
+            closing[e[-1]].append((is_c, list(e[:-1])))
+    rows = np.zeros((1, 1), dtype=np.int16)
+    used = np.ones(1, dtype=np.int16)  # blocks used by each row
+    for v in range(1, n):
+        blocks = np.arange(min(v + 1, n if k is None else k), dtype=np.int16)
+        allowed = blocks <= used[:, None]
+        for is_c, others in closing[v]:
+            members = rows[:, others]
+            if is_c:
+                spread = np.sort(members, axis=1)
+                rainbow = (spread[:, 1:] != spread[:, :-1]).all(axis=1)
+                hit = (members[:, :, None] == blocks).any(axis=1)
+                allowed &= hit | ~rainbow[:, None]
+            else:
+                mono = (members == members[:, :1]).all(axis=1)
+                allowed &= ~(mono[:, None] & (members[:, :1] == blocks))
+        parent, b = np.nonzero(allowed)
+        rows = np.column_stack((rows[parent], b.astype(np.int16)))
+        used = used[parent]
+        used += b == used
+        if k is not None:  # the vertices left can open at most one block each
+            live = used + (n - 1 - v) >= k
+            rows, used = rows[live], used[live]
+    return rows
 
 
 # --- counting: frontier dynamic programme ----------------------------------
@@ -351,41 +317,12 @@ def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[in
     return counts
 
 
-# --- process pool -----------------------------------------------------------
-
-
-def worker_count(jobs: int) -> int:
-    """Processes worth starting for ``jobs``: at least one, at most the CPUs
-    this process may run on."""
-    if jobs <= 1:  # the common case skips the affinity query
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(jobs, cpus)
-
-
-def map_shards(fn: Callable, shared: tuple, shards: Sequence, jobs: int) -> list:
-    """``[fn(*shared, s) for s in shards]``, in shard order, over at most
-    ``worker_count(jobs)`` processes.
-
-    ``fn`` and ``shared`` are pickled with every shard, so both must be small
-    and ``fn`` a module-level function.  Workers are forked where the platform
-    allows it, which spares each one the package import.
-    """
-    workers = min(worker_count(jobs), len(shards))
-    if workers <= 1:
-        return [fn(*shared, s) for s in shards]
-    ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(workers, mp_context=ctx) as ex:
-        return list(ex.map(partial(fn, *shared), shards))
-
-
 # --- public operations ------------------------------------------------------
 
 
-def _partitions(h: MixedHypergraph, k: Optional[int], jobs: int) -> list[Partition]:
-    plan = _edge_plan(h)
-    parts = map_shards(_list_shard, (plan, h.n, k), _prefix_shards(plan, h.n, k, jobs), jobs)
-    return [Partition(a) for part in parts for a in part]
+def _partitions(h: MixedHypergraph, k: Optional[int]) -> list[Partition]:
+    rows = _partition_rows(h, k)
+    return [Partition(a) for a in zip(*rows.T.tolist())]  # by columns: far fewer list objects
 
 
 def enumerate_strict(h: MixedHypergraph, k: int, jobs: int = 1) -> list[Partition]:
@@ -393,13 +330,13 @@ def enumerate_strict(h: MixedHypergraph, k: int, jobs: int = 1) -> list[Partitio
     lexicographic restricted-growth order."""
     if not 1 <= k <= h.n:
         raise ValueError(f"k={k} out of range 1..{h.n}")
-    return _partitions(h, k, jobs)
+    return _partitions(h, k)
 
 
 def all_feasible_partitions(h: MixedHypergraph, jobs: int = 1) -> list[Partition]:
     """Every feasible partition of ``h`` (any block count), in lexicographic
     restricted-growth order."""
-    return _partitions(h, None, jobs)
+    return _partitions(h, None)
 
 
 def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:

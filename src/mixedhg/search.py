@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import MixedHypergraph
-from .coloring import Spectrum, all_feasible_partitions, chromatic_spectrum, feasible_set
+from .coloring import Spectrum, _partition_rows, chromatic_spectrum, feasible_set
 from .constructions import TargetSet, minimum_size, smallest_one_realization
 
 VERTEX_CAP = 6
@@ -253,7 +253,7 @@ def _kill_tables(
     and one row per block count ``k = 1..n`` holding the partitions with
     ``k`` blocks.
     """
-    parts = np.array([p.assignment for p in all_feasible_partitions(MixedHypergraph(n, [], []))])
+    parts = _partition_rows(MixedHypergraph(n, [], []))
     words = -(-len(parts) // 64)
 
     def pack(rows: list[np.ndarray]) -> np.ndarray:

@@ -258,5 +258,5 @@ def test_criterion_9_spectrum_output_determinism(tmp_path, capsys):
     elapsed = time.perf_counter() - started
     print(
         f"criterion 9: PASS in {elapsed:.2f}s - byte-identical spectrum reports"
-        f" for 1, 2, and 8 workers"
+        f" for --jobs 1, 2, and 8"
     )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mixedhg import MixedHypergraph, TargetSet, construct_one
+from mixedhg import MixedHypergraph, TargetSet, coloring, construct_one
 from mixedhg.cli import main
 from mixedhg.documents import loads, save
 
@@ -118,6 +118,36 @@ class TestSpectrum:
 
     def test_bad_jobs_value(self, capsys, doc42):
         assert run(capsys, "spectrum", doc42, "--jobs", "0")[0] == 2
+
+    def test_listing_cap(self, capsys, tmp_path, monkeypatch):
+        assert coloring.LIST_CAP == 4194304
+        edgeless = {}
+        for n in (11, 12):
+            edgeless[n] = str(tmp_path / f"edgeless{n}.json")
+            save(MixedHypergraph(n, [], []), edgeless[n])
+        # Bell(12) = 4,213,597 is over the cap: refused from the count alone
+        code, stdout, stderr = run(capsys, "spectrum", edgeless[12], "--list-colorings")
+        assert (code, stdout) == (2, "")
+        assert "error: 4213597 feasible partitions exceed the listing cap of 4194304" in stderr
+        # Bell(11) = 678,570 is under it; printing that many takes long, so
+        # only check that the listing is reached
+        listed = []
+        monkeypatch.setattr(coloring, "all_feasible_partitions", lambda h, jobs=1: listed.append(h.n) or [])
+        assert run(capsys, "spectrum", edgeless[11], "--list-colorings")[0] == 0
+        assert listed == [11]
+
+    def test_listing_cap_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "edgeless5.json")
+        save(MixedHypergraph(5, [], []), path)  # Bell(5) = 52
+        monkeypatch.setattr(coloring, "LIST_CAP", 52)
+        code, stdout, _ = run(capsys, "spectrum", path, "--list-colorings", "--format", "json")
+        assert code == 0 and len(json.loads(stdout)["colorings"]) == 52
+        monkeypatch.setattr(coloring, "LIST_CAP", 51)
+        code, stdout, stderr = run(capsys, "spectrum", path, "--list-colorings")
+        assert (code, stdout) == (2, "")
+        assert "52 feasible partitions exceed the listing cap of 51" in stderr
+        # without --list-colorings the cap does not apply
+        assert run(capsys, "spectrum", path)[0] == 0
 
 
 class TestVerify:

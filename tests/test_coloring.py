@@ -1,8 +1,14 @@
+import concurrent.futures
 import itertools
-import os
+import multiprocessing.process
 import random
+import re
+from pathlib import Path
+from typing import Optional
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedhg import (
     MixedHypergraph,
@@ -24,16 +30,24 @@ from mixedhg import (
 from mixedhg import coloring
 from mixedhg.coloring import (
     _count_order,
-    _edge_plan,
     _frontier_counts,
     _greedy_order,
     _neighbourhoods,
-    _prefix_shards,
-    map_shards,
-    worker_count,
 )
 
-from _oracles import brute_force_spectrum, stirling_second
+from _oracles import brute_force_partitions, brute_force_spectrum, stirling_second
+
+
+@pytest.fixture
+def no_processes(monkeypatch):
+    """Make starting a process pool or any process raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    # the base of multiprocessing.Process and of every start method's process class
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 class TestPartition:
@@ -206,16 +220,96 @@ class TestFrontierCounts:
             expect = tuple(stirling_second(n, k) for k in range(1, n + 1))
             assert chromatic_spectrum(MixedHypergraph(n, [], [])).counts == expect
 
-    def test_counting_starts_no_pool(self, monkeypatch):
+    def test_counting_starts_no_pool(self, no_processes):
         h = sparse_instance(13)
         baseline = chromatic_spectrum(h)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("counting started a process pool")
-
-        monkeypatch.setattr(coloring, "ProcessPoolExecutor", refuse)
         assert chromatic_spectrum(h, jobs=2) == baseline
         assert sum(baseline.counts) > 0
+
+
+def walk_partitions(h: MixedHypergraph, k: Optional[int] = None) -> list[tuple[int, ...]]:
+    """The depth-first listing engine that the level-by-level one replaced,
+    kept as a reference: each edge is checked when its last vertex gets a
+    block, and with ``k`` set a branch dies when too few vertices are left to
+    reach ``k`` blocks."""
+    n = h.n
+    plan: list[list[tuple[bool, tuple[int, ...]]]] = [[] for _ in range(n)]
+    for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
+        for e in edges:
+            plan[e[-1]].append((is_c, e))
+    colors = [-1] * n
+    out: list[tuple[int, ...]] = []
+
+    def rec(v: int, used: int) -> None:
+        if k is not None and used + (n - v) < k:
+            return
+        if v == n:
+            out.append(tuple(colors))
+            return
+        limit = used + 1 if (k is None or used < k) else used
+        for b in range(limit):
+            colors[v] = b
+            ok = True
+            for is_c, members in plan[v]:
+                distinct = len({colors[w] for w in members})
+                if (distinct == len(members)) if is_c else (distinct == 1):
+                    ok = False
+                    break
+            if ok:
+                rec(v + 1, used + (1 if b == used else 0))
+        colors[v] = -1
+
+    rec(0, 0)
+    return out
+
+
+@st.composite
+def mixed_hypergraphs(draw, max_n=7):
+    """C- and D-edges of sizes 2 to 4 on at most ``max_n`` vertices."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pool = [e for size in (2, 3, 4) for e in itertools.combinations(range(n), size)]
+    edges = st.lists(st.sampled_from(pool), max_size=7) if pool else st.just([])
+    return MixedHypergraph(n, draw(edges), draw(edges))
+
+
+class TestListing:
+    @staticmethod
+    def check_against_the_walk_and_the_oracle(h):
+        oracle = brute_force_partitions(h)
+        listed = all_feasible_partitions(h)
+        assert listed == oracle
+        assert [p.assignment for p in listed] == walk_partitions(h)
+        for k in range(1, h.n + 1):
+            strict = enumerate_strict(h, k)
+            assert strict == [p for p in oracle if p.num_blocks == k]
+            assert [p.assignment for p in strict] == walk_partitions(h, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_hypergraphs())
+    def test_matches_the_walk_and_the_oracle(self, h):
+        self.check_against_the_walk_and_the_oracle(h)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            MixedHypergraph(5, [(0, 1)], [(0, 1)]),  # uncolorable bi-edge
+            MixedHypergraph(7, [(0, 1, 2, 3), (3, 4, 5, 6)], [(0, 4), (1, 2, 6), (2, 5)]),
+            MixedHypergraph(7, [(2, 6), (0, 3, 5)], [(0, 1, 2, 3), (4, 5, 6), (1, 5)]),
+            MixedHypergraph(6, [], [(0, 1), (0, 2), (1, 2), (3, 4, 5)]),
+        ],
+    )
+    def test_fixed_cases(self, h):
+        self.check_against_the_walk_and_the_oracle(h)
+
+    def test_uncolorable_lists_nothing(self):
+        h = MixedHypergraph(5, [(0, 1)], [(0, 1)])
+        assert all_feasible_partitions(h) == []
+        assert all(enumerate_strict(h, k) == [] for k in range(1, 6))
+
+    def test_rows_are_int16_and_lexicographic(self):
+        rows = coloring._partition_rows(MixedHypergraph(6, [], []))
+        assert rows.dtype == np.int16 and rows.shape == (203, 6)
+        assert [tuple(r) for r in rows.tolist()] == sorted(tuple(r) for r in rows.tolist())
 
 
 class TestFeasibleSets:
@@ -239,27 +333,24 @@ class TestFeasibleSets:
 
 
 class TestJobs:
-    def test_worker_count_is_capped_at_usable_cpus(self):
-        # only computed: a pool of this size is never started
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count()
-        assert 1 <= worker_count(5000) <= cpus
-        assert worker_count(1) == 1
+    def test_jobs_match_one_job_and_start_no_process(self, no_processes):
+        cases = [sparse_instance(7), construct_one(TargetSet((5, 3, 2))), MixedHypergraph(5, [(0, 1)], [(0, 1)])]
+        for h in cases:
+            listed = all_feasible_partitions(h)
+            strict = [enumerate_strict(h, k) for k in range(1, h.n + 1)]
+            spectrum = chromatic_spectrum(h)
+            for jobs in (2, 4):
+                assert all_feasible_partitions(h, jobs=jobs) == listed
+                assert [enumerate_strict(h, k, jobs=jobs) for k in range(1, h.n + 1)] == strict
+                assert chromatic_spectrum(h, jobs=jobs) == spectrum
+        assert len(all_feasible_partitions(cases[0])) > 0
 
-    def test_prefix_shards_follow_the_worker_cap(self):
-        h = MixedHypergraph(8, [], [])
-        shards = _prefix_shards(_edge_plan(h), h.n, None, 5000)
-        assert len(shards) <= 4 * worker_count(5000)
-        prefixes = [p for shard in shards for p in shard]
-        assert prefixes == sorted(prefixes)
-
-    def test_map_shards_keeps_shard_order(self):
-        shards = [2, 3, 5, 7, 11]
-        expected = [divmod(100, s) for s in shards]
-        for jobs in (1, 2):
-            assert map_shards(divmod, (100,), shards, jobs) == expected
+    def test_no_module_imports_a_process_pool(self):
+        pool_import = re.compile(r"^\s*(?:from|import)\s+(?:multiprocessing|concurrent)\b", re.MULTILINE)
+        sources = sorted(Path(coloring.__file__).parent.glob("*.py"))
+        assert len(sources) > 1
+        for path in sources:
+            assert not pool_import.search(path.read_text(encoding="utf-8")), path.name
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_enumeration_identical_across_workers(self, jobs):
@@ -274,9 +365,6 @@ class TestJobs:
             assert chromatic_spectrum(h, jobs=jobs) == baseline
 
     def test_random_instances_identical_across_workers(self):
-        import itertools
-        import random
-
         rng = random.Random(5150)
         for _ in range(6):
             n = rng.randint(4, 7)
@@ -290,7 +378,7 @@ class TestJobs:
             )
             assert all_feasible_partitions(h, jobs=2) == all_feasible_partitions(h)
             assert chromatic_spectrum(h, jobs=2) == chromatic_spectrum(h)
-        # uncolorable: no walk prefix survives, which leaves one empty shard
+        # uncolorable: no partial partition survives the first bi-edge
         h = MixedHypergraph(5, [(0, 1)], [(0, 1)])
         assert all_feasible_partitions(h, jobs=2) == []
         assert chromatic_spectrum(h, jobs=2) == Spectrum(())
