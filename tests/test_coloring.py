@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import multiprocessing.process
+import os
 import random
 import re
 from pathlib import Path
@@ -344,6 +345,35 @@ class TestJobs:
                 assert [enumerate_strict(h, k, jobs=jobs) for k in range(1, h.n + 1)] == strict
                 assert chromatic_spectrum(h, jobs=jobs) == spectrum
         assert len(all_feasible_partitions(cases[0])) > 0
+
+    def test_worker_count_is_capped_at_usable_cpus(self, no_processes):
+        # a jobs value far above the usable CPUs is accepted and starts nothing
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        h = sparse_instance(7)
+        jobs = cpus + 5000
+        assert all_feasible_partitions(h, jobs=jobs) == all_feasible_partitions(h)
+        assert enumerate_strict(h, 3, jobs=jobs) == enumerate_strict(h, 3)
+        assert chromatic_spectrum(h, jobs=jobs) == chromatic_spectrum(h)
+
+    def test_prefix_shards_follow_the_worker_cap(self, no_processes):
+        # every jobs value lists each block count in the walk's prefix order
+        h = MixedHypergraph(8, [], [])
+        for jobs in (1, 2, 5000):
+            for k in range(1, h.n + 1):
+                listed = [p.assignment for p in enumerate_strict(h, k, jobs=jobs)]
+                assert listed == walk_partitions(h, k)
+                assert listed == sorted(listed)
+
+    def test_map_shards_keeps_shard_order(self, no_processes):
+        # the full listing keeps lexicographic order whatever jobs is
+        h = construct_one(TargetSet((5, 3, 2)))
+        expected = walk_partitions(h)
+        assert expected == sorted(expected)
+        for jobs in (1, 2):
+            assert [p.assignment for p in all_feasible_partitions(h, jobs=jobs)] == expected
 
     def test_no_module_imports_a_process_pool(self):
         pool_import = re.compile(r"^\s*(?:from|import)\s+(?:multiprocessing|concurrent)\b", re.MULTILINE)
