@@ -3,12 +3,14 @@
 Exit codes: 0 success / verified, 1 verification negative, 2 invalid input or
 budget violation.  Reports on stdout are deterministic (``--jobs`` and timing
 never change them, and no command starts worker processes); timing goes to
-stderr.
+stderr.  The argument parser is built once per process, on the first call of
+``main``, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -16,6 +18,7 @@ from typing import Iterable, Optional
 
 from . import coloring, documents, search
 from .constructions import (
+    VERTEX_CAP,
     TargetSet,
     construct_one,
     construct_two,
@@ -49,6 +52,7 @@ def _print_json(obj) -> None:
 
 def _spectrum_report(
     path: str,
+    sha256: str,
     h: MixedHypergraph,
     spectrum: coloring.Spectrum,
     partitions: Optional[list[coloring.Partition]],
@@ -56,7 +60,7 @@ def _spectrum_report(
     feasible = list(spectrum.feasible_values())
     report = {
         "command": "spectrum",
-        "input": {"path": path, "sha256": documents.sha256_of(path)},
+        "input": {"path": path, "sha256": sha256},
         "vertex_count": h.n,
         "spectrum": list(spectrum.counts),
         "feasible_set": feasible,
@@ -92,6 +96,9 @@ def _print_spectrum_human(report: dict) -> None:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     ts = _parse_target_set(args.set)
+    delta = minimum_size(ts)
+    if delta > VERTEX_CAP:
+        raise ValueError(f"target set needs {delta} vertices, above the construction cap of {VERTEX_CAP}")
     if args.variant == "one":
         h = construct_one(ts)
     elif args.variant == "two":
@@ -99,7 +106,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         h = smallest_one_realization(ts)
     text = documents.dumps(h)
-    summary = f"vertices={h.n} delta={minimum_size(ts)}"
+    summary = f"vertices={h.n} delta={delta}"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -111,7 +118,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    h = documents.load(args.input)
+    h, sha256 = documents.load_hashed(args.input)
     started = time.perf_counter()
     spectrum = coloring.chromatic_spectrum(h, jobs=args.jobs)
     total = sum(spectrum.counts)
@@ -120,7 +127,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         return 2
     partitions = coloring.all_feasible_partitions(h, jobs=args.jobs) if args.list_colorings else None
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
-    report = _spectrum_report(args.input, h, spectrum, partitions)
+    report = _spectrum_report(args.input, sha256, h, spectrum, partitions)
     if args.format == "json":
         _print_json(report)
     else:
@@ -195,6 +202,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedhg",

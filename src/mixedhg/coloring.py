@@ -243,8 +243,11 @@ def _neighbourhoods(h: MixedHypergraph) -> list[set[int]]:
 
 
 def _count_order(near: list[set[int]]) -> list[int]:
-    """Id order, or the greedy order where its frontier is narrower."""
+    """Id order, or the greedy order where its frontier is narrower.  When
+    every vertex neighbours every other, all orders are equally wide."""
     ids = list(range(len(near)))
+    if all(len(vs) == len(near) for vs in near):
+        return ids
     greedy = _greedy_order(near)
     return greedy if _frontier_width(near, greedy) < _frontier_width(near, ids) else ids
 

@@ -10,11 +10,17 @@ hypergraph drops one vertex and achieves the same with ``2*n_1 - n_s - 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .core import Label, MixedHypergraph
 from .coloring import Partition, is_gap_free
+
+# The largest minimum size ``mixedhg construct`` builds.  At the cap a build
+# takes well under a second, and its edge masks O(n^2 * s) memory; the library
+# functions themselves take any size.
+VERTEX_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -75,32 +81,31 @@ def construction_labels(ts: TargetSet) -> list[Label]:
     return labels
 
 
-def _differs_everywhere(a: Label, b: Label) -> bool:
-    return all(x != y for x, y in zip(a, b))
-
-
-def _two_values_per_coordinate(a: Label, b: Label, c: Label) -> bool:
-    return all(len({x, y, z}) == 2 for x, y, z in zip(a, b, c))
+def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]:
+    """C-edges: the vertex triples whose labels take exactly two distinct
+    values at every coordinate.  D-edges: the pairs whose labels differ at
+    every coordinate.  Both are read off numpy masks of coordinate-wise label
+    equality, the triples one first vertex at a time so that memory stays
+    O(n^2 * s); ``argwhere`` yields them in lexicographic order."""
+    n = len(labels)
+    lab = np.array(labels)
+    eq = lab[:, None] == lab[None, :]  # eq[i, j, t]: labels i and j agree at t
+    idx = np.arange(n)
+    upper = idx[:, None] < idx[None, :]
+    c_edges = []
+    for i in range(n - 2):
+        ij, ik = eq[i, i + 1 :, None], eq[i, None, i + 1 :]
+        # at every coordinate some two of i, j, k agree, but not all three
+        two = ((eq[i + 1 :, i + 1 :] | ij | ik) & ~(ij & ik)).all(axis=2) & upper[i + 1 :, i + 1 :]
+        c_edges += [[i, i + 1 + j, i + 1 + k] for j, k in np.argwhere(two).tolist()]
+    return c_edges, np.argwhere(upper & ~eq.any(axis=2)).tolist()
 
 
 def construct_one(ts: TargetSet) -> MixedHypergraph:
-    """The variant-one realization on ``2*n_1 - n_s`` labeled vertices.
-
-    D-edges are the vertex pairs whose labels differ in every coordinate;
-    C-edges are the triples whose labels take exactly two distinct values in
-    every coordinate.  Both families are found by filtering all pairs and
-    triples, which is cheap at this scale and hard to get wrong.
-    """
+    """The variant-one realization on ``2*n_1 - n_s`` labeled vertices, with
+    the edges of ``_label_edges``."""
     labels = construction_labels(ts)
-    d_edges = [
-        (i, j) for i, j in combinations(range(len(labels)), 2)
-        if _differs_everywhere(labels[i], labels[j])
-    ]
-    c_edges = [
-        (i, j, k) for i, j, k in combinations(range(len(labels)), 3)
-        if _two_values_per_coordinate(labels[i], labels[j], labels[k])
-    ]
-    return MixedHypergraph(len(labels), c_edges, d_edges, labels)
+    return MixedHypergraph(len(labels), *_label_edges(labels), labels)
 
 
 def construct_two(ts: TargetSet) -> MixedHypergraph:

@@ -98,5 +98,13 @@ def load(path: Union[str, Path]) -> MixedHypergraph:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
+def load_hashed(path: Union[str, Path]) -> tuple[MixedHypergraph, str]:
+    """The hypergraph of a document and the SHA-256 of the very bytes it was
+    parsed from, read once.  Newlines are translated as ``load`` reads them."""
+    data = Path(path).read_bytes()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return loads(text), hashlib.sha256(data).hexdigest()
+
+
 def sha256_of(path: Union[str, Path]) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

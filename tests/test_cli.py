@@ -1,9 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from mixedhg import MixedHypergraph, TargetSet, coloring, construct_one
-from mixedhg.cli import main
+from mixedhg import MixedHypergraph, TargetSet, coloring, construct_one, constructions
+from mixedhg.cli import _build_parser, main
 from mixedhg.documents import loads, save
 
 
@@ -50,6 +52,18 @@ class TestConstruct:
         assert code == 0
         assert loads(stdout).n == 3
 
+    def test_vertex_cap(self, capsys):
+        assert constructions.VERTEX_CAP == 256
+        # (129, 2) needs exactly 256 vertices: built
+        code, stdout, stderr = run(capsys, "construct", "--set", "129,2")
+        assert code == 0 and "vertices=256 delta=256" in stderr
+        h = loads(stdout)
+        assert (h.n, len(h.c_edges), len(h.d_edges)) == (256, 32258, 16257)
+        # (130, 3) needs 257: refused before anything is built or printed
+        code, stdout, stderr = run(capsys, "construct", "--set", "130,3", "--variant", "one")
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: target set needs 257 vertices, above the construction cap of 256\n"
+
 
 class TestSpectrum:
     def test_json_report(self, capsys, doc42):
@@ -62,7 +76,7 @@ class TestSpectrum:
         assert report["lower_chromatic_number"] == 2
         assert report["upper_chromatic_number"] == 4
         assert report["vertex_count"] == 6
-        assert len(report["input"]["sha256"]) == 64
+        assert report["input"]["sha256"] == hashlib.sha256(Path(doc42).read_bytes()).hexdigest()
         assert "colorings" not in report
 
     def test_human_report(self, capsys, doc42):
@@ -304,3 +318,71 @@ class TestDeltaAndGaps:
         free = tmp_path / "free.json"
         save(MixedHypergraph(3, [], []), free)
         assert run(capsys, "gaps", str(free)) == (0, "", "")
+
+
+MAIN_HELP = """\
+usage: mixedhg [-h] {construct,spectrum,verify,search-min,iso,delta,gaps} ...
+
+Generate, color, and verify minimum-size one-realizations.
+
+positional arguments:
+  {construct,spectrum,verify,search-min,iso,delta,gaps}
+    construct           generate a realization for a target set
+    spectrum            chromatic spectrum of a document
+    verify              check that a document one-realizes a set
+    search-min          bounded exhaustive search for small one-realizations
+    iso                 test two documents for isomorphism
+    delta               minimum one-realization size for a target set
+    gaps                gaps in the feasible set of a document
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+SPECTRUM_HELP = """\
+usage: mixedhg spectrum [-h] [--list-colorings] [--jobs JOBS]
+                        [--format {human,json}]
+                        input
+
+positional arguments:
+  input                 hypergraph document
+
+options:
+  -h, --help            show this help message and exit
+  --list-colorings      include every feasible partition
+  --jobs JOBS           accepted for compatibility; counting and listing start
+                        no processes
+  --format {human,json}
+"""
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, capsys):
+        _build_parser.cache_clear()
+        assert run(capsys, "delta", "--set", "4,2")[0] == 0
+        assert run(capsys, "delta", "--set", "5,2")[0] == 0
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_list_colorings_does_not_carry_over(self, capsys, doc42):
+        code, stdout, _ = run(capsys, "spectrum", doc42, "--list-colorings", "--format", "json")
+        assert code == 0 and "colorings" in json.loads(stdout)
+        code, stdout, _ = run(capsys, "spectrum", doc42, "--format", "json")
+        assert code == 0 and "colorings" not in json.loads(stdout)
+
+    def test_variant_does_not_carry_over(self, capsys):
+        assert run(capsys, "construct", "--set", "4,3", "--variant", "two")[0] == 0
+        # a leftover "two" would refuse {5,3}
+        code, stdout, _ = run(capsys, "construct", "--set", "5,3")
+        assert code == 0 and loads(stdout).n == 7
+        assert loads(run(capsys, "construct", "--set", "4,3", "--variant", "one")[1]).n == 5
+        assert loads(run(capsys, "construct", "--set", "4,3")[1]).n == 4
+
+    @pytest.mark.parametrize("argv,expected", [((), MAIN_HELP), (("spectrum",), SPECTRUM_HELP)])
+    def test_help_is_unchanged(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):  # the first call and a reused parser print the same
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == expected

@@ -215,6 +215,18 @@ class TestFrontierCounts:
         assert _greedy_order(_neighbourhoods(h)) == [0, 2, 1, 3]
         assert _count_order(_neighbourhoods(h)) == [0, 1, 2, 3]
 
+    def test_complete_primal_graph_skips_the_greedy_order(self, monkeypatch):
+        # every vertex shares an edge with every other: all orders are alike
+        h = construct_one(TargetSet((5, 3, 2)))
+        assert all(len(vs) == h.n for vs in _neighbourhoods(h))
+
+        def refuse(near):
+            raise AssertionError("greedy order computed for a complete primal graph")
+
+        monkeypatch.setattr(coloring, "_greedy_order", refuse)
+        assert _count_order(_neighbourhoods(h)) == list(range(h.n))
+        assert chromatic_spectrum(h).counts == brute_force_spectrum(h)
+
     def test_edgeless_up_to_25_vertices(self):
         # Bell(25) is about 4.6e18 partitions: out of reach of a walk
         for n in range(1, 26):

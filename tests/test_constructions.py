@@ -1,6 +1,10 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from mixedhg import (
+    MixedHypergraph,
     Partition,
     TargetSet,
     canonical_coloring,
@@ -13,6 +17,7 @@ from mixedhg import (
     minimum_size,
     smallest_one_realization,
 )
+from mixedhg.constructions import _label_edges
 
 
 class TestTargetSet:
@@ -64,8 +69,6 @@ class TestConstructOne:
         ]
 
     def test_vertex_count_formula(self):
-        from itertools import combinations
-
         for values in combinations(range(2, 9), 2):
             ts = TargetSet(values)
             assert construct_one(ts).n == 2 * ts.values[0] - ts.values[-1]
@@ -90,6 +93,56 @@ class TestConstructOne:
         smaller = construct_one(TargetSet(values[1:]))
         assert derived.n == smaller.n
         assert are_isomorphic(derived, smaller) is not None
+
+
+def filtered_edges(labels: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The C- and D-edges by the filters the numpy masks replaced, kept as a
+    reference: every label triple and pair tested in Python."""
+    c_edges = [
+        (i, j, k) for i, j, k in combinations(range(len(labels)), 3)
+        if all(len({x, y, z}) == 2 for x, y, z in zip(labels[i], labels[j], labels[k]))
+    ]
+    d_edges = [
+        (i, j) for i, j in combinations(range(len(labels)), 2)
+        if all(x != y for x, y in zip(labels[i], labels[j]))
+    ]
+    return c_edges, d_edges
+
+
+def filtered_construction(ts: TargetSet) -> MixedHypergraph:
+    labels = construction_labels(ts)
+    return MixedHypergraph(len(labels), *filtered_edges(labels), labels)
+
+
+def test_label_masks_match_the_filters_on_random_labels():
+    # few values per coordinate, so triples that agree at a coordinate, or
+    # that repeat a whole label, are common
+    rng = random.Random(2011)
+    for _ in range(200):
+        s = rng.randint(1, 4)
+        labels = [tuple(rng.randint(1, 3) for _ in range(s)) for _ in range(rng.randint(3, 12))]
+        c_edges, d_edges = _label_edges(labels)
+        assert (list(map(tuple, c_edges)), list(map(tuple, d_edges))) == filtered_edges(labels), labels
+
+
+PAPER_SETS = [values for size in range(2, 6) for values in combinations(range(2, 13), size)]
+
+
+@pytest.mark.parametrize(
+    "sets", [PAPER_SETS, [(30, 2), (33, 32, 2), (12, 9, 6, 4, 2)]], ids=["paper-sets", "larger"]
+)
+def test_masks_match_the_filters(sets):
+    # MixedHypergraph equality compares n, c_edges, d_edges and labels
+    for values in sets:
+        ts = TargetSet(values)
+        one = auto = filtered_construction(ts)
+        cases = [("one", construct_one(ts), one)]
+        if ts.values[0] == ts.values[1] + 1:
+            auto = one.delete_vertex(one.label_index((ts.values[1],) + (1,) * (ts.size - 1)))
+            cases.append(("two", construct_two(ts), auto))
+        cases.append(("auto", smallest_one_realization(ts), auto))
+        for variant, got, want in cases:
+            assert got == want, (values, variant)
 
 
 class TestConstructTwo:

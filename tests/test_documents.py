@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mixedhg import MixedHypergraph, TargetSet, construct_one, construct_two
-from mixedhg.documents import dumps, from_document, load, loads, save, sha256_of, to_document
+from mixedhg.documents import dumps, from_document, load, load_hashed, loads, save, sha256_of, to_document
 
 
 SAMPLES = [
@@ -52,6 +52,19 @@ def test_file_round_trip(tmp_path):
     save(h, path)
     assert load(path) == h
     assert len(sha256_of(path)) == 64
+
+
+def test_load_hashed_reads_like_load(tmp_path):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(dumps(construct_one(TargetSet((4, 2)))).replace("\n", "\r\n").encode())
+    assert load_hashed(path) == (load(path), sha256_of(path))
+    # a parse error points at the same place as load's
+    path.write_bytes(b'{\r\n "a":\r\n  x}\r\n')
+    with pytest.raises(ValueError) as by_load:
+        load(path)
+    with pytest.raises(ValueError) as by_load_hashed:
+        load_hashed(path)
+    assert str(by_load_hashed.value) == str(by_load.value)
 
 
 @pytest.mark.parametrize(
