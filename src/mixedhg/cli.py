@@ -235,10 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="target set, e.g. 3,2")
     p.add_argument("--n", type=int, required=True, help="vertex count to search")
     p.add_argument("--jobs", type=int, default=1, help="accepted like spectrum's; the search starts no processes")
-    p.add_argument("--max-vertices", type=int, default=5, help="hard vertex cap")
-    p.add_argument("--c-size", type=int, default=3, help="uniform C-edge size")
-    p.add_argument("--d-size", type=int, default=2, help="uniform D-edge size")
-    p.add_argument("--max-candidates", type=int, default=1 << 22)
+    budget = search.SearchBudget()
+    p.add_argument("--max-vertices", type=int, default=budget.max_vertices, help="hard vertex cap")
+    p.add_argument("--c-size", type=int, default=budget.c_edge_size, help="uniform C-edge size")
+    p.add_argument("--d-size", type=int, default=budget.d_edge_size, help="uniform D-edge size")
+    p.add_argument("--max-candidates", type=int, default=budget.max_candidates)
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.set_defaults(func=_cmd_search_min)
 

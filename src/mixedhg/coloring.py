@@ -6,8 +6,9 @@ block 0 and every later vertex uses either an existing block index or the
 next unused one.  Listing is level by level in vertex id order, one
 vectorised step per vertex over all partial partitions at once, so results
 always come out in lexicographic restricted-growth order.  Counting is a
-frontier dynamic programme that never visits a partition one by one.  Every
-operation runs in this process: ``jobs`` is accepted and starts no workers.
+frontier dynamic programme along one greedy vertex order, and never visits a
+partition one by one.  Every operation runs in this process: ``jobs`` is
+accepted and starts no workers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -187,7 +187,9 @@ def _partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
 
 # --- counting: frontier dynamic programme ----------------------------------
 #
-# Vertices are placed one by one along an order.  The frontier is the placed
+# Vertices are placed one by one along the greedy order of ``_greedy_order``,
+# which keeps the frontier narrow on sparse instances and is id order when
+# every vertex shares an edge with every other.  The frontier is the placed
 # vertices that still belong to an edge whose last vertex is unplaced.  A
 # state is the partition restricted to the frontier, as a restricted-growth
 # string over the frontier in placement order, plus ``k``, the blocks used so
@@ -197,25 +199,6 @@ def _partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
 # edge still to close), or opens a new one.  Edges are checked when their
 # last vertex is placed.  The cost grows with n times the number of frontier
 # states, not with the number of feasible partitions.
-
-
-def _steps(near: list[set[int]], order: Sequence[int]) -> tuple[list[int], list[int]]:
-    """``step[u]``, the step of ``order`` that places ``u``, and ``leave[u]``,
-    the step after which ``u`` leaves the frontier: the last of ``near[u]``."""
-    step = [0] * len(order)
-    for i, v in enumerate(order):
-        step[v] = i
-    return step, [max(map(step.__getitem__, vs)) for vs in near]
-
-
-def _frontier_width(near: list[set[int]], order: Sequence[int]) -> tuple[int, int]:
-    """Largest and total frontier size over the steps of ``order``."""
-    delta = [0] * (len(order) + 1)
-    for placed, left in zip(*_steps(near, order)):
-        delta[placed] += 1
-        delta[left] -= 1
-    widths = list(accumulate(delta[:-1]))
-    return max(widths), sum(widths)
 
 
 def _greedy_order(near: list[set[int]]) -> list[int]:
@@ -242,21 +225,15 @@ def _neighbourhoods(h: MixedHypergraph) -> list[set[int]]:
     return near
 
 
-def _count_order(near: list[set[int]]) -> list[int]:
-    """Id order, or the greedy order where its frontier is narrower.  When
-    every vertex neighbours every other, all orders are equally wide."""
-    ids = list(range(len(near)))
-    if all(len(vs) == len(near) for vs in near):
-        return ids
-    greedy = _greedy_order(near)
-    return greedy if _frontier_width(near, greedy) < _frontier_width(near, ids) else ids
-
-
 def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[int]]) -> list[int]:
     """``counts[k]``: the feasible partitions of ``h`` with ``k`` blocks, for
     ``k = 0..n``, by the frontier programme along ``order``; ``near`` is
     ``_neighbourhoods(h)``."""
-    step, leave = _steps(near, order)
+    step = [0] * len(order)
+    for i, v in enumerate(order):
+        step[v] = i
+    # the step after which each vertex leaves the frontier: its last neighbour's
+    leave = [max(map(step.__getitem__, vs)) for vs in near]
     closing: list[list[tuple[bool, Edge]]] = [[] for _ in order]  # edges by last step
     for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
         for e in edges:
@@ -348,7 +325,7 @@ def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:
     ``jobs`` is accepted like elsewhere in the package; counting runs in this
     process and starts no workers."""
     near = _neighbourhoods(h)
-    counts = _frontier_counts(h, _count_order(near), near)
+    counts = _frontier_counts(h, _greedy_order(near), near)
     top = 0
     for k in range(h.n, 0, -1):
         if counts[k]:

@@ -104,7 +104,3 @@ def load_hashed(path: Union[str, Path]) -> tuple[MixedHypergraph, str]:
     data = Path(path).read_bytes()
     text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return loads(text), hashlib.sha256(data).hexdigest()
-
-
-def sha256_of(path: Union[str, Path]) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

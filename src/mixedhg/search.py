@@ -1,15 +1,14 @@
 """Realization checks, deletion criticality, and a capped minimality search.
 
 The search enumerates every hypergraph on ``n`` vertices whose C-edges all
-have one fixed size and whose D-edges all have another, and tests each for
-being a one-realization of the target set with partition bitsets (see
-``_kill_tables``).  Isomorphism classes are counted per edge count by
-Polya's theorem (``class_counts``); only inside the layer of a witness are
-they told apart by a canonical form (the minimum of the edge-set bit masks
-over all vertex permutations).  The
-uniform edge sizes and the small vertex cap make this evidence about
-minimality, not a proof: a non-uniform or larger hypergraph is never
-examined.
+have one fixed size and whose D-edges all have another, one edge-count layer
+after another, and tests each for being a one-realization of the target set
+with partition bitsets (see ``_kill_tables``).  Isomorphism classes are
+counted per edge count by Polya's theorem (``class_counts``); only inside the
+layer of a witness are they told apart by a canonical form (the minimum of
+the edge-set bit masks over all vertex permutations).  The uniform edge
+sizes and the small vertex cap make this evidence about minimality, not a
+proof: a non-uniform or larger hypergraph is never examined.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,8 +27,8 @@ from .coloring import Spectrum, _partition_rows, chromatic_spectrum, feasible_se
 from .constructions import TargetSet, minimum_size, smallest_one_realization
 
 VERTEX_CAP = 6
-# at n <= 6 no space has between 2^21 and 2^26 candidates; the candidate
-# order of a 2^30 space would take 8 GiB
+# at n <= 6 no space has between 2^21 and 2^26 candidates; the scan's layers
+# take about 5 bytes per candidate, 5 GiB for a 2^30 space
 CANDIDATE_CAP = 1 << 26
 
 
@@ -156,20 +155,15 @@ def _cycle_types(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, .
 
 
 def canonical_keys(
-    n: int,
-    c_subsets: list[tuple[int, ...]],
-    d_subsets: list[tuple[int, ...]],
-    flats: Optional[np.ndarray] = None,
+    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]], flats: np.ndarray
 ) -> np.ndarray:
-    """Canonical form of the candidates ``flats`` (default: all of them).
+    """Canonical form of the candidates ``flats``.
 
     Candidate ``mask_c << len(d_subsets) | mask_d`` maps to the minimum, over
     all vertex permutations, of the permuted pair packed the same way.  Two
     candidates get equal keys exactly when they are isomorphic.
     """
     nd = len(d_subsets)
-    if flats is None:
-        flats = np.arange(1 << (len(c_subsets) + nd), dtype=np.int64)
     c_masks, d_masks = flats >> nd, flats & ((1 << nd) - 1)
     best = np.array(flats, dtype=np.int64)
     for c_image, d_image in _subset_images(permutations(range(n)), c_subsets, d_subsets):
@@ -213,13 +207,6 @@ def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple
                         poly[m] += poly[m - length]
         fixed = [f + weight * p for f, p in zip(fixed, poly)]
     return [f // factorial(n) for f in fixed]
-
-
-def _candidate_order(nc: int, nd: int) -> np.ndarray:
-    """Flat candidate ids sorted by total edge count, then C-mask, then D-mask:
-    a flat id's popcount is its edge count, so layer ``m`` starts at
-    ``sum(comb(nc + nd, j) for j < m)``."""
-    return np.argsort(np.bitwise_count(np.arange(1 << (nc + nd))), kind="stable")
 
 
 def hypergraph_from_masks(
@@ -281,6 +268,21 @@ def _spectra(kill_c: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, flats: 
 
 # --- search -----------------------------------------------------------------
 
+
+def _layers(bits: int) -> Iterator[np.ndarray]:
+    """Layer ``m`` for ``m = 0..bits``: the ids below ``2**bits`` with ``m``
+    set bits, ascending."""
+    below = [np.zeros(1, dtype=np.int64)] * (bits + 1)  # below[b]: layer m of the ids under 2**b
+    for _ in range(bits + 1):
+        yield below[bits]
+        # layer m + 1 under 2**(b + 1) is layer m + 1 under 2**b, then layer
+        # m under 2**b with bit b set
+        grown = np.zeros(0, dtype=np.int64)
+        for b in range(bits):
+            below[b], grown = grown, np.concatenate((grown, below[b] | 1 << b))
+        below[bits] = grown
+
+
 _CHUNK = 1 << 15
 
 
@@ -292,11 +294,12 @@ def bounded_minimality_search(
 ) -> SearchReport:
     """Exhaust the uniform-edge-size candidate space on ``n`` vertices.
 
-    Candidates are visited in deterministic order (fewest edges first); the
-    report carries the first one-realization in that order, the number of
-    candidates enumerated before stopping, and the fraction of them that are
-    isomorphic duplicates of an earlier candidate.  Isomorphic candidates
-    share a spectrum, so the first hit is also the first hit among class
+    Candidates are visited layer by layer, fewest edges first, and by flat id
+    ``mask_c << len(d_subsets) | mask_d`` within a layer; the report carries
+    the first one-realization in that order, the number of candidates
+    enumerated before stopping, and the fraction of them that are isomorphic
+    duplicates of an earlier candidate.  Isomorphic candidates share a
+    spectrum, so the first hit is also the first hit among class
     representatives.  ``jobs`` is accepted like elsewhere in the package, but
     the search runs vectorised in this process and starts no workers.
     """
@@ -315,22 +318,22 @@ def bounded_minimality_search(
 
     kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
     want = np.array([int(k in ts.values) for k in range(1, n + 1)])
-    order = _candidate_order(nc, nd)
     classes = class_counts(n, c_subsets, d_subsets)
+    before = 0  # candidates in the layers already scanned
     # a target above n needs more blocks than vertices: nothing can hit
-    stop = total if max(ts.values) <= n else 0
-    for at in range(0, stop, _CHUNK):
-        flats = order[at : at + _CHUNK]
-        hits = np.flatnonzero((_spectra(kill_c, kill_d, blocks, flats, nd) == want).all(axis=1))
-        if len(hits):
-            examined = at + int(hits[0]) + 1
-            flat = int(flats[hits[0]])
-            # isomorphic candidates have equal edge counts: every class of the
-            # layers below the witness's is complete, keys split only its layer
-            edges = flat.bit_count()
-            start = sum(comb(nc + nd, j) for j in range(edges))
-            layer = canonical_keys(n, c_subsets, d_subsets, order[start:examined])
-            unique = sum(classes[:edges]) + len(np.unique(layer))
-            witness = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), c_subsets, d_subsets)
-            return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)
+    for m, layer in enumerate(_layers(nc + nd) if max(ts.values) <= n else ()):
+        for at in range(0, len(layer), _CHUNK):
+            flats = layer[at : at + _CHUNK]
+            hits = np.flatnonzero((_spectra(kill_c, kill_d, blocks, flats, nd) == want).all(axis=1))
+            if len(hits):
+                pos = at + int(hits[0])
+                examined = before + pos + 1
+                flat = int(layer[pos])
+                # isomorphic candidates have equal edge counts: every class of
+                # the layers below is complete, keys split only this layer
+                keys = canonical_keys(n, c_subsets, d_subsets, layer[: pos + 1])
+                unique = sum(classes[:m]) + len(np.unique(keys))
+                witness = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), c_subsets, d_subsets)
+                return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)
+        before += len(layer)
     return SearchReport(Outcome.EXHAUSTED, None, total, (total - sum(classes)) / total)

@@ -30,7 +30,6 @@ from mixedhg import (
 
 from mixedhg import coloring
 from mixedhg.coloring import (
-    _count_order,
     _frontier_counts,
     _greedy_order,
     _neighbourhoods,
@@ -178,6 +177,12 @@ class TestSpectrum:
             assert chromatic_spectrum(h).counts == brute_force_spectrum(h)
 
 
+def both_ends_path(n: int) -> MixedHypergraph:
+    """A D-path on ``n`` (even) vertices numbered from both ends: 0, n-1, 1, n-2, ..."""
+    walk = [v for i in range(n // 2) for v in (i, n - 1 - i)]
+    return MixedHypergraph(n, [], list(zip(walk, walk[1:])))
+
+
 def sparse_instance(seed: int) -> MixedHypergraph:
     """13 vertices, 5 C-triples and 12 D-pairs drawn at random."""
     rng = random.Random(seed)
@@ -203,29 +208,35 @@ class TestFrontierCounts:
             assert _frontier_counts(h, _greedy_order(near), near) == expected
             assert _frontier_counts(h, shuffled, near) == expected
 
-    def test_greedy_order_is_kept_only_when_narrower(self):
-        # a path numbered from both ends: id order keeps half the path open
-        n = 10
-        path = [(i, n - 1 - i) for i in range(n // 2)] + [(n - 1 - i, i + 1) for i in range(n // 2 - 1)]
-        h = MixedHypergraph(n, [], path)
-        order = _count_order(_neighbourhoods(h))
-        assert order != list(range(n)) and sorted(order) == list(range(n))
-        # a greedy order as wide as id order is not taken
-        h = MixedHypergraph(4, [], [(0, 2), (0, 3), (1, 2)])
-        assert _greedy_order(_neighbourhoods(h)) == [0, 2, 1, 3]
-        assert _count_order(_neighbourhoods(h)) == [0, 1, 2, 3]
+    def test_greedy_order_is_kept_only_when_narrower(self, monkeypatch):
+        # a path numbered from both ends: id order keeps half the path open,
+        # the greedy order walks along the path
+        h = both_ends_path(10)
+        orders = []
+        frontier_counts = coloring._frontier_counts
 
-    def test_complete_primal_graph_skips_the_greedy_order(self, monkeypatch):
-        # every vertex shares an edge with every other: all orders are alike
+        def record(h, order, near):
+            orders.append(list(order))
+            return frontier_counts(h, order, near)
+
+        monkeypatch.setattr(coloring, "_frontier_counts", record)
+        chromatic_spectrum(h)
+        assert orders == [_greedy_order(_neighbourhoods(h))] == [[0, 9, 1, 8, 2, 7, 3, 6, 4, 5]]
+
+    def test_complete_primal_graph_skips_the_greedy_order(self):
+        # every vertex shares an edge with every other: the greedy order is id order
         h = construct_one(TargetSet((5, 3, 2)))
         assert all(len(vs) == h.n for vs in _neighbourhoods(h))
-
-        def refuse(near):
-            raise AssertionError("greedy order computed for a complete primal graph")
-
-        monkeypatch.setattr(coloring, "_greedy_order", refuse)
-        assert _count_order(_neighbourhoods(h)) == list(range(h.n))
+        assert _greedy_order(_neighbourhoods(h)) == list(range(h.n))
         assert chromatic_spectrum(h).counts == brute_force_spectrum(h)
+
+    def test_relabelled_path_counts_like_the_path(self):
+        # in id order the frontier of the both-ends numbering is about 30
+        # vertices wide; a D-path on n vertices has S(n-1, k-1) k-colorings
+        n = 60
+        spectrum = chromatic_spectrum(both_ends_path(n))
+        assert spectrum.counts == tuple(stirling_second(n - 1, k - 1) for k in range(1, n + 1))
+        assert spectrum == chromatic_spectrum(MixedHypergraph(n, [], [(i, i + 1) for i in range(n - 1)]))
 
     def test_edgeless_up_to_25_vertices(self):
         # Bell(25) is about 4.6e18 partitions: out of reach of a walk

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from mixedhg import MixedHypergraph, TargetSet, construct_one, construct_two
-from mixedhg.documents import dumps, from_document, load, load_hashed, loads, save, sha256_of, to_document
+from mixedhg.documents import dumps, from_document, load, load_hashed, loads, save, to_document
 
 
 SAMPLES = [
@@ -51,13 +52,12 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "h.json"
     save(h, path)
     assert load(path) == h
-    assert len(sha256_of(path)) == 64
 
 
 def test_load_hashed_reads_like_load(tmp_path):
     path = tmp_path / "crlf.json"
     path.write_bytes(dumps(construct_one(TargetSet((4, 2)))).replace("\n", "\r\n").encode())
-    assert load_hashed(path) == (load(path), sha256_of(path))
+    assert load_hashed(path) == (load(path), hashlib.sha256(path.read_bytes()).hexdigest())
     # a parse error points at the same place as load's
     path.write_bytes(b'{\r\n "a":\r\n  x}\r\n')
     with pytest.raises(ValueError) as by_load:

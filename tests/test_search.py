@@ -22,8 +22,8 @@ from mixedhg import (
 )
 from mixedhg.search import (
     CANDIDATE_CAP,
-    _candidate_order,
     _kill_tables,
+    _layers,
     _spectra,
     canonical_keys,
     class_counts,
@@ -169,8 +169,8 @@ class TestCanonicalKeys:
         n = 3
         c_subsets = edge_subsets(n, 3)
         d_subsets = edge_subsets(n, 2)
-        keys = canonical_keys(n, c_subsets, d_subsets)
         nd = len(d_subsets)
+        keys = canonical_keys(n, c_subsets, d_subsets, np.arange(1 << (len(c_subsets) + nd)))
         by_key: dict[int, list[int]] = {}
         for flat, key in enumerate(keys.tolist()):
             by_key.setdefault(key, []).append(flat)
@@ -186,8 +186,8 @@ class TestCanonicalKeys:
         n = 3
         c_subsets = edge_subsets(n, 3)
         d_subsets = edge_subsets(n, 2)
-        keys = canonical_keys(n, c_subsets, d_subsets)
         nd = len(d_subsets)
+        keys = canonical_keys(n, c_subsets, d_subsets, np.arange(1 << (len(c_subsets) + nd)))
         reps: dict[int, int] = {}
         for flat, key in enumerate(keys.tolist()):
             reps.setdefault(key, flat)
@@ -204,8 +204,8 @@ class TestCanonicalKeys:
         n = 4
         c_subsets = edge_subsets(n, 3)
         d_subsets = edge_subsets(n, 2)
-        keys = canonical_keys(n, c_subsets, d_subsets)
         nd = len(d_subsets)
+        keys = canonical_keys(n, c_subsets, d_subsets, np.arange(1 << (len(c_subsets) + nd)))
         flat = np.arange(len(keys), dtype=np.int64)
         # canonical form never exceeds the candidate's own packed masks
         assert (keys <= flat).all()
@@ -221,8 +221,9 @@ def class_scan(ts, n, c_size, d_size):
     isomorphism class in candidate order, stop at the first one-realization."""
     c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
     nd = len(d_subsets)
-    order = _candidate_order(len(c_subsets), nd).tolist()
-    keys = canonical_keys(n, c_subsets, d_subsets)
+    total = 1 << (len(c_subsets) + nd)
+    order = sorted(range(total), key=lambda f: (f.bit_count(), f))
+    keys = canonical_keys(n, c_subsets, d_subsets, np.arange(total))
     seen = set()
     for pos, flat in enumerate(order):
         if keys[flat] in seen:
@@ -243,6 +244,11 @@ class TestKillMasks:
             ts = TargetSet(values)
             assert bounded_minimality_search(ts, n, budget) == class_scan(ts, n, c_size, d_size), values
 
+    def test_layers_follow_the_candidate_order(self):
+        for bits in range(11):
+            order = sorted(range(1 << bits), key=lambda f: (f.bit_count(), f))
+            assert np.concatenate(list(_layers(bits))).tolist() == order
+
     def test_spectra_match_brute_force(self):
         n = 5
         c_subsets, d_subsets = edge_subsets(n, 3), edge_subsets(n, 2)
@@ -259,7 +265,8 @@ class TestKillMasks:
         # per edge count m: the Polya count equals the distinct keys with m edges
         for c_size, d_size in itertools.product(range(2, n + 1), repeat=2):
             c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
-            keys = canonical_keys(n, c_subsets, d_subsets)
-            edges = np.bitwise_count(np.arange(len(keys)))
+            flats = np.arange(1 << (len(c_subsets) + len(d_subsets)))
+            keys = canonical_keys(n, c_subsets, d_subsets, flats)
+            edges = np.bitwise_count(flats)
             expected = [len(np.unique(keys[edges == m])) for m in range(len(c_subsets) + len(d_subsets) + 1)]
             assert class_counts(n, c_subsets, d_subsets) == expected, (c_size, d_size)
