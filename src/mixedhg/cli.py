@@ -94,17 +94,15 @@ def _print_spectrum_human(report: dict) -> None:
             print(f"  {idx}: {rendered}")
 
 
+_BUILDERS = {"auto": smallest_one_realization, "one": construct_one, "two": construct_two}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     ts = _parse_target_set(args.set)
     delta = minimum_size(ts)
     if delta > VERTEX_CAP:
         raise ValueError(f"target set needs {delta} vertices, above the construction cap of {VERTEX_CAP}")
-    if args.variant == "one":
-        h = construct_one(ts)
-    elif args.variant == "two":
-        h = construct_two(ts)
-    else:
-        h = smallest_one_realization(ts)
+    h = _BUILDERS[args.variant](ts)
     text = documents.dumps(h)
     summary = f"vertices={h.n} delta={delta}"
     if args.out:
@@ -212,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="generate a realization for a target set")
     p.add_argument("--set", required=True, help="target set, e.g. 4,2")
-    p.add_argument("--variant", choices=["auto", "one", "two"], default="auto")
+    p.add_argument("--variant", choices=list(_BUILDERS), default="auto")
     p.add_argument("--out", help="write the document here instead of stdout")
     p.set_defaults(func=_cmd_construct)
 

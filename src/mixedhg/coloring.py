@@ -43,7 +43,7 @@ class Partition:
             raise ValueError("partition of an empty vertex set")
         top = -1
         for v, b in enumerate(a):
-            if not isinstance(b, int) or b < 0 or b > top + 1:
+            if type(b) is not int or b < 0 or b > top + 1:
                 raise ValueError(f"assignment {a} is not a restricted-growth string (vertex {v})")
             if b > top:
                 top = b
@@ -325,13 +325,10 @@ def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:
     ``jobs`` is accepted like elsewhere in the package; counting runs in this
     process and starts no workers."""
     near = _neighbourhoods(h)
-    counts = _frontier_counts(h, _greedy_order(near), near)
-    top = 0
-    for k in range(h.n, 0, -1):
-        if counts[k]:
-            top = k
-            break
-    return Spectrum(tuple(counts[1 : top + 1]))
+    counts = _frontier_counts(h, _greedy_order(near), near)[1:]
+    while counts and not counts[-1]:
+        counts.pop()
+    return Spectrum(tuple(counts))
 
 
 def feasible_set(h: MixedHypergraph, jobs: int = 1) -> FeasibleSet:

@@ -101,6 +101,22 @@ def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]
     return c_edges, np.argwhere(upper & ~eq.any(axis=2)).tolist()
 
 
+def _variant_labels(ts: TargetSet, which: str) -> list[Label]:
+    """Vertex labels of variant ``which`` in id order: variant two drops
+    ``(n_2, 1, ..., 1)``.  Edges depend only on their members' labels."""
+    if which not in ("one", "two"):
+        raise ValueError(f"variant must be 'one' or 'two', got {which!r}")
+    labels = construction_labels(ts)
+    if which == "two":
+        vals = ts.values
+        if vals[0] != vals[1] + 1:
+            raise ValueError(
+                f"variant two needs the two largest values consecutive, got {vals[0]} and {vals[1]}"
+            )
+        labels.remove((vals[1],) + (1,) * (len(vals) - 1))
+    return labels
+
+
 def construct_one(ts: TargetSet) -> MixedHypergraph:
     """The variant-one realization on ``2*n_1 - n_s`` labeled vertices, with
     the edges of ``_label_edges``."""
@@ -110,29 +126,20 @@ def construct_one(ts: TargetSet) -> MixedHypergraph:
 
 def construct_two(ts: TargetSet) -> MixedHypergraph:
     """The variant-two realization: variant one minus the vertex labeled
-    ``(n_2, 1, ..., 1)``.  Only defined when ``n_1 == n_2 + 1``."""
-    vals = ts.values
-    if vals[0] != vals[1] + 1:
-        raise ValueError(
-            f"variant two needs the two largest values consecutive, got {vals[0]} and {vals[1]}"
-        )
-    h = construct_one(ts)
-    return h.delete_vertex(h.label_index((vals[1],) + (1,) * (len(vals) - 1)))
+    ``(n_2, 1, ..., 1)``, built from its own labels."""
+    labels = _variant_labels(ts, "two")
+    return MixedHypergraph(len(labels), *_label_edges(labels), labels)
 
 
 def canonical_coloring(ts: TargetSet, i: int, which: str = "one") -> Partition:
     """The feasible partition grouping vertices by coordinate ``i`` (1-based).
 
-    Valid for both variants; the result has exactly ``n_i`` blocks.
+    Read off either variant's labels; the result has exactly ``n_i`` blocks.
     """
     if not 1 <= i <= ts.size:
         raise ValueError(f"coordinate index {i} out of range 1..{ts.size}")
-    if which not in ("one", "two"):
-        raise ValueError(f"variant must be 'one' or 'two', got {which!r}")
-    h = construct_one(ts) if which == "one" else construct_two(ts)
-    assert h.labels is not None
     groups: dict[int, list[int]] = {}
-    for v, lab in enumerate(h.labels):
+    for v, lab in enumerate(_variant_labels(ts, which)):
         groups.setdefault(lab[i - 1], []).append(v)
     if len(groups) != ts.values[i - 1]:
         raise AssertionError(

@@ -186,17 +186,11 @@ def are_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> Optional[IsoMapp
         raise ValueError(f"isomorphism search supports at most {ISO_VERTEX_CAP} vertices")
     if h1.n != h2.n:
         return None
-    if len(h1.c_edges) != len(h2.c_edges) or len(h1.d_edges) != len(h2.d_edges):
-        return None
-    if sorted(map(len, h1.c_edges)) != sorted(map(len, h2.c_edges)):
-        return None
-    if sorted(map(len, h1.d_edges)) != sorted(map(len, h2.d_edges)):
-        return None
 
     n = h1.n
     sig1, sig2 = _vertex_signatures(h1), _vertex_signatures(h2)
     freq = Counter(sig1)
-    if freq != Counter(sig2):
+    if freq != Counter(sig2):  # also compares the edge counts per kind and size
         return None
     prof1, prof2 = _pair_profiles(h1), _pair_profiles(h2)
     c2set, d2set = set(h2.c_edges), set(h2.d_edges)

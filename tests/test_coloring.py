@@ -62,6 +62,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(bad)
 
+    def test_rejects_bools(self):
+        # True == 1, so without a type check (0, True) would equal Partition((0, 1))
+        for bad in [(0, True), (False,)]:
+            with pytest.raises(ValueError, match="restricted-growth"):
+                Partition(bad)
+
     def test_from_blocks_canonicalizes(self):
         p = Partition.from_blocks([[3], [1, 2], [0, 4]])
         assert p.assignment == (0, 1, 1, 2, 0)

@@ -17,6 +17,7 @@ from mixedhg import (
     minimum_size,
     smallest_one_realization,
 )
+from mixedhg import constructions
 from mixedhg.constructions import _label_edges
 
 
@@ -171,6 +172,16 @@ class TestConstructTwo:
         one = construct_one(ts)
         assert construct_two(ts) == one.delete_vertex(one.label_index((3, 1)))
 
+    def test_builds_from_labels_without_deleting(self, monkeypatch):
+        ts = TargetSet((6, 5, 3, 2))
+        want = construct_two(ts)
+
+        def refuse(self, v):
+            raise AssertionError("construct_two deleted a vertex")
+
+        monkeypatch.setattr(MixedHypergraph, "delete_vertex", refuse)
+        assert construct_two(ts) == want
+
 
 class TestCanonicalColorings:
     def test_pair_instance_second_coordinate(self):
@@ -198,6 +209,32 @@ class TestCanonicalColorings:
         assert by_first == Partition((0, 1, 2, 3))
         assert by_second == Partition((0, 1, 2, 2))
         assert is_proper(h, by_first) and is_proper(h, by_second)
+
+    def test_reads_labels_without_building_edges(self, monkeypatch):
+        ts = TargetSet((6, 5, 3, 2))
+        want = [canonical_coloring(ts, i, which) for which in ("one", "two") for i in (1, 2, 3, 4)]
+
+        def refuse(labels):
+            raise AssertionError("canonical_coloring built edges")
+
+        monkeypatch.setattr(constructions, "_label_edges", refuse)
+        assert [canonical_coloring(ts, i, which) for which in ("one", "two") for i in (1, 2, 3, 4)] == want
+
+    def test_paper_sets_match_the_built_labels(self):
+        # reference: build the hypergraph (variant two by deleting its vertex
+        # from variant one) and group its labels by coordinate
+        for values in PAPER_SETS:
+            ts = TargetSet(values)
+            one = construct_one(ts)
+            built = {"one": one}
+            if ts.values[0] == ts.values[1] + 1:
+                built["two"] = one.delete_vertex(one.label_index((ts.values[1],) + (1,) * (ts.size - 1)))
+            for which, h in built.items():
+                for i in range(1, ts.size + 1):
+                    groups: dict[int, list[int]] = {}
+                    for v, lab in enumerate(h.labels):
+                        groups.setdefault(lab[i - 1], []).append(v)
+                    assert canonical_coloring(ts, i, which) == Partition.from_blocks(groups.values()), (values, which, i)
 
     def test_index_validation(self):
         with pytest.raises(ValueError, match="out of range"):
