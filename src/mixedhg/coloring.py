@@ -58,6 +58,8 @@ class Partition:
         assignment: dict[int, int] = {}
         for i, g in enumerate(groups):
             for v in g:
+                if type(v) is not int:
+                    raise ValueError(f"vertex {v!r} is not an integer")
                 if v in assignment:
                     raise ValueError(f"vertex {v} appears in two blocks")
                 assignment[v] = i

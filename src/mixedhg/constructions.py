@@ -169,6 +169,6 @@ def is_realizable_set(values: Iterable[int]) -> bool:
     vs = set(values)
     if not vs:
         raise ValueError("the empty set is not a candidate feasible set")
-    if any(not isinstance(v, int) or v < 1 for v in vs):
+    if any(type(v) is not int or v < 1 for v in vs):
         raise ValueError(f"feasible-set values must be positive integers, got {sorted(vs)}")
     return 1 not in vs or is_gap_free(vs)

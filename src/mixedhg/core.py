@@ -18,15 +18,18 @@ ISO_VERTEX_CAP = 12
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, kind: str) -> tuple[Edge, ...]:
     """Deduplicate, sort, and range-check an edge family."""
     out: set[Edge] = set()
-    for raw in edges:
-        raw = tuple(raw)  # exact ints, no bools; checked before dedup folds True into 1
-        for v in raw:
-            if type(v) is not int or not 0 <= v < n:
-                raise ValueError(f"{kind}-edge {list(raw)}: vertex {v!r} out of range 0..{n - 1}")
-        members = sorted(set(raw))
-        if len(members) < 2:
-            raise ValueError(f"{kind}-edge {members}: an edge needs at least two vertices")
-        out.add(tuple(members))
+    try:
+        for raw in edges:
+            raw = tuple(raw)  # exact ints, no bools; checked before dedup folds True into 1
+            for v in raw:
+                if type(v) is not int or not 0 <= v < n:
+                    raise ValueError(f"{kind}-edge {list(raw)}: vertex {v!r} out of range 0..{n - 1}")
+            members = sorted(set(raw))
+            if len(members) < 2:
+                raise ValueError(f"{kind}-edge {members}: an edge needs at least two vertices")
+            out.add(tuple(members))
+    except TypeError:  # the family or one of its edges is not iterable
+        raise ValueError(f"{kind}-edges must be a list of vertex lists") from None
     return tuple(sorted(out))
 
 
@@ -57,7 +60,10 @@ class MixedHypergraph:
         object.__setattr__(self, "c_edges", _canonical_edges(self.c_edges, self.n, "C"))
         object.__setattr__(self, "d_edges", _canonical_edges(self.d_edges, self.n, "D"))
         if self.labels is not None:
-            labs = tuple(tuple(lab) for lab in self.labels)
+            try:
+                labs = tuple(tuple(lab) for lab in self.labels)
+            except TypeError:
+                raise ValueError("labels must be a list of integer tuples") from None
             if len(labs) != self.n:
                 raise ValueError(f"got {len(labs)} labels for {self.n} vertices")
             for lab in labs:

@@ -30,17 +30,9 @@ def to_document(h: MixedHypergraph) -> dict[str, Any]:
     return doc
 
 
-def _expect_edge_lists(doc: dict, key: str) -> list[list[int]]:
-    edges = doc[key]
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
-        for e in edges
-    ):
-        raise ValueError(f"'{key}' must be a list of integer lists")
-    return edges
-
-
 def from_document(doc: Any) -> MixedHypergraph:
+    """The hypergraph of a parsed document.  Only the file format is checked
+    here; ``MixedHypergraph`` checks the vertex count, edges and labels."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     for key in ("format_version", "vertex_count", "c_edges", "d_edges"):
@@ -48,21 +40,7 @@ def from_document(doc: Any) -> MixedHypergraph:
             raise ValueError(f"document is missing '{key}'")
     if doc["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc['format_version']!r}")
-    n = doc["vertex_count"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("'vertex_count' must be an integer")
-    labels = None
-    if "labels" in doc and doc["labels"] is not None:
-        raw = doc["labels"]
-        if not isinstance(raw, list) or not all(
-            isinstance(lab, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in lab)
-            for lab in raw
-        ):
-            raise ValueError("'labels' must be a list of integer lists")
-        labels = [tuple(lab) for lab in raw]
-    return MixedHypergraph(
-        n, _expect_edge_lists(doc, "c_edges"), _expect_edge_lists(doc, "d_edges"), labels
-    )
+    return MixedHypergraph(doc["vertex_count"], doc["c_edges"], doc["d_edges"], doc.get("labels"))
 
 
 def _row_list(rows: list[list[int]]) -> str:

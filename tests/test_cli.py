@@ -205,6 +205,8 @@ class TestVerify:
         bad.write_text("[]")
         assert run(capsys, "verify", str(bad), "--set", "2,4")[0] == 2
         assert run(capsys, "verify", str(bad), "--set", "0,4")[0] == 2
+        bad.write_text('{"format_version": 1, "vertex_count": 2, "c_edges": [5], "d_edges": []}')
+        assert run(capsys, "verify", str(bad), "--set", "2,4")[:2] == (2, "")
 
 
 class TestSearchMin:

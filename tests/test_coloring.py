@@ -80,6 +80,10 @@ class TestPartition:
             Partition.from_blocks([[0], [2]])
         with pytest.raises(ValueError, match="nonempty"):
             Partition.from_blocks([[0], []])
+        with pytest.raises(ValueError, match="not an integer"):
+            Partition.from_blocks([[0, True]])
+        with pytest.raises(ValueError, match="not an integer"):
+            Partition.from_blocks([[0], [1.0]])
 
 
 class TestIsProper:

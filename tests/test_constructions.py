@@ -274,6 +274,8 @@ class TestRealizableSets:
             is_realizable_set(set())
         with pytest.raises(ValueError, match="positive"):
             is_realizable_set({0, 2})
+        with pytest.raises(ValueError, match="positive"):
+            is_realizable_set({True})
 
     def test_generated_realizations_pass(self):
         for values in [(4, 2), (4, 3), (5, 3, 2)]:

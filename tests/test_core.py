@@ -30,6 +30,11 @@ class TestConstruction:
             MixedHypergraph(2, [(0, 2)], [])
         with pytest.raises(ValueError, match="out of range"):
             MixedHypergraph(2, [], [(-1, 0)])
+        # a family or an edge that is not iterable is a ValueError too
+        with pytest.raises(ValueError, match="C-edges must be a list of vertex lists"):
+            MixedHypergraph(3, 5)
+        with pytest.raises(ValueError, match="C-edges must be a list of vertex lists"):
+            MixedHypergraph(3, [5])
 
     def test_vertex_count_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -73,6 +78,8 @@ class TestConstruction:
             MixedHypergraph(2, [], [], labels=[(1,)])
         with pytest.raises(ValueError, match="distinct"):
             MixedHypergraph(2, [], [], labels=[(1,), (1,)])
+        with pytest.raises(ValueError, match="labels must be a list of integer tuples"):
+            MixedHypergraph(2, [], [], labels=5)
         h = MixedHypergraph(2, [], [], labels=[(1, 2), (2, 1)])
         assert h.label_index((2, 1)) == 1
         with pytest.raises(ValueError, match="no vertex labeled"):

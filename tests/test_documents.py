@@ -73,9 +73,22 @@ def test_load_hashed_reads_like_load(tmp_path):
         (lambda d: d.pop("vertex_count"), "missing"),
         (lambda d: d.update(format_version=99), "format_version"),
         (lambda d: d.update(vertex_count="six"), "integer"),
-        (lambda d: d.update(c_edges=[[0, "x"]]), "integer lists"),
-        (lambda d: d.update(d_edges="nope"), "integer lists"),
+        (lambda d: d.update(vertex_count=True), "positive integer"),
+        (lambda d: d.update(vertex_count=2.0), "positive integer"),
+        (lambda d: d.update(vertex_count=None), "positive integer"),
+        # explicit ids keep these two test ids stable; the expected message is core's
+        pytest.param(lambda d: d.update(c_edges=[[0, "x"]]), "out of range", id="<lambda>-integer lists0"),
+        pytest.param(lambda d: d.update(d_edges="nope"), "out of range", id="<lambda>-integer lists1"),
+        (lambda d: d.update(c_edges=[[0, 1.0]]), "vertex 1.0 out of range"),
+        (lambda d: d.update(d_edges={"a": 1}), "vertex 'a' out of range"),
+        (lambda d: d.update(c_edges=None), "C-edges must be a list"),
+        (lambda d: d.update(c_edges=5), "C-edges must be a list"),
+        (lambda d: d.update(d_edges=[5]), "D-edges must be a list"),
+        (lambda d: d.update(d_edges=[None]), "D-edges must be a list"),
         (lambda d: d.update(labels=[[1]]), "labels"),
+        (lambda d: d.update(labels=5), "labels must be a list"),
+        (lambda d: d.update(labels=[5]), "labels must be a list"),
+        (lambda d: d.update(labels=[[True], [2]]), "tuple of integers"),
         (lambda d: d.update(d_edges=[[0, 9]]), "out of range"),
         (lambda d: d.update(c_edges=[[1]]), "at least two"),
     ],
