@@ -68,6 +68,31 @@ class Partition:
             raise ValueError("blocks must cover exactly 0..n-1")
         return cls(tuple(assignment[v] for v in range(n)))
 
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray) -> list["Partition"]:
+        """One partition per row of a 2-D integer array.
+
+        The array is checked once, column by column against each row's
+        running maximum, by the rule ``__post_init__`` applies to one
+        assignment; only then are the objects built without that check.  A
+        bad row raises the error ``Partition(row)`` raises.
+        """
+        bad = np.zeros(len(rows), dtype=bool)
+        top = np.full(len(rows), -1, dtype=rows.dtype)  # the running maximum of each row
+        for col in rows.T:
+            bad |= (col < 0) | (col > top + 1)
+            np.maximum(top, col, out=top)
+        if bad.any():
+            cls(tuple(rows[bad.argmax()].tolist()))  # raises the error of the first bad row
+        del bad, top  # building the objects is the peak of listing's memory
+        new, put = object.__new__, object.__setattr__
+        out = []
+        for a in zip(*rows.T.tolist()):  # by columns: far fewer list objects
+            p = new(cls)
+            put(p, "assignment", a)
+            out.append(p)
+        return out
+
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks ordered by smallest member."""
@@ -303,8 +328,7 @@ def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[in
 
 
 def _partitions(h: MixedHypergraph, k: Optional[int]) -> list[Partition]:
-    rows = _partition_rows(h, k)
-    return [Partition(a) for a in zip(*rows.T.tolist())]  # by columns: far fewer list objects
+    return Partition._from_rows(_partition_rows(h, k))
 
 
 def enumerate_strict(h: MixedHypergraph, k: int, jobs: int = 1) -> list[Partition]:

@@ -38,8 +38,9 @@ def from_document(doc: Any) -> MixedHypergraph:
     for key in ("format_version", "vertex_count", "c_edges", "d_edges"):
         if key not in doc:
             raise ValueError(f"document is missing '{key}'")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {doc['format_version']!r}")
+    v = doc["format_version"]
+    if type(v) is not int or v != FORMAT_VERSION:  # true and 1.0 equal 1 but are not version 1
+        raise ValueError(f"unsupported format_version {v!r}")
     return MixedHypergraph(doc["vertex_count"], doc["c_edges"], doc["d_edges"], doc.get("labels"))
 
 

@@ -346,6 +346,40 @@ class TestListing:
         assert [tuple(r) for r in rows.tolist()] == sorted(tuple(r) for r in rows.tolist())
 
 
+class TestListedPartitions:
+    """Listing builds its ``Partition``s from checked rows, not one by one."""
+
+    @pytest.mark.parametrize(
+        "h",
+        [construct_one(TargetSet((5, 3, 2))), sparse_instance(11), MixedHypergraph(6, [], [])],
+        ids=["construction-532", "sparse-13", "edgeless-6"],
+    )
+    def test_listed_objects_are_like_constructed_ones(self, h):
+        lists = [all_feasible_partitions(h)] + [enumerate_strict(h, k) for k in range(1, h.n + 1)]
+        assert len(lists[0]) == sum(map(len, lists[1:])) > 0
+        for listed in lists:
+            for p in listed:
+                q = Partition(p.assignment)
+                assert type(p) is Partition and type(p.assignment) is tuple
+                assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+                assert p.blocks == q.blocks and p.num_blocks == q.num_blocks and len(p) == len(q)
+
+    @pytest.mark.parametrize(
+        "bad", [[[1, 0]], [[0, 2]], [[0, 1, 3]], [[0, -1]], [[0, 0, 0], [0, 1, 3], [0, 2, 0]]]
+    )
+    def test_bad_engine_rows_raise_the_constructor_error(self, monkeypatch, bad):
+        rows = np.array(bad, dtype=np.int16)
+        with pytest.raises(ValueError, match="restricted-growth") as expected:
+            [Partition(tuple(r)) for r in bad]  # one by one, as listing did before
+        monkeypatch.setattr(coloring, "_partition_rows", lambda h, k=None: rows)
+        with pytest.raises(ValueError, match="restricted-growth") as raised:
+            all_feasible_partitions(MixedHypergraph(rows.shape[1]))
+        assert str(raised.value) == str(expected.value)
+
+    def test_no_rows_give_no_partitions(self):
+        assert Partition._from_rows(np.zeros((0, 5), dtype=np.int16)) == []
+
+
 class TestFeasibleSets:
     def test_three_value_instance(self):
         assert feasible_set(construct_one(TargetSet((5, 3, 2)))) == (2, 3, 5)

@@ -72,6 +72,8 @@ def test_load_hashed_reads_like_load(tmp_path):
     [
         (lambda d: d.pop("vertex_count"), "missing"),
         (lambda d: d.update(format_version=99), "format_version"),
+        (lambda d: d.update(format_version=True), "unsupported format_version True"),
+        (lambda d: d.update(format_version=1.0), "unsupported format_version 1.0"),
         (lambda d: d.update(vertex_count="six"), "integer"),
         (lambda d: d.update(vertex_count=True), "positive integer"),
         (lambda d: d.update(vertex_count=2.0), "positive integer"),
