@@ -16,9 +16,14 @@ from typing import Any, Union
 from .core import MixedHypergraph
 
 FORMAT_VERSION = 1
+# above every hypergraph the package builds (``construct`` writes at most 257
+# vertices) and far below counts whose spectra no longer print
+VERTEX_CAP = 512
 
 
 def to_document(h: MixedHypergraph) -> dict[str, Any]:
+    if h.n > VERTEX_CAP:
+        raise ValueError(f"{h.n} vertices exceed the document cap of {VERTEX_CAP}")
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "vertex_count": h.n,
@@ -31,8 +36,9 @@ def to_document(h: MixedHypergraph) -> dict[str, Any]:
 
 
 def from_document(doc: Any) -> MixedHypergraph:
-    """The hypergraph of a parsed document.  Only the file format is checked
-    here; ``MixedHypergraph`` checks the vertex count, edges and labels."""
+    """The hypergraph of a parsed document.  Only the file format and the
+    vertex cap are checked here; ``MixedHypergraph`` checks the vertex count,
+    edges and labels."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     for key in ("format_version", "vertex_count", "c_edges", "d_edges"):
@@ -41,6 +47,8 @@ def from_document(doc: Any) -> MixedHypergraph:
     v = doc["format_version"]
     if type(v) is not int or v != FORMAT_VERSION:  # true and 1.0 equal 1 but are not version 1
         raise ValueError(f"unsupported format_version {v!r}")
+    if type(doc["vertex_count"]) is int and doc["vertex_count"] > VERTEX_CAP:
+        raise ValueError(f"vertex_count exceeds the document cap of {VERTEX_CAP}")
     return MixedHypergraph(doc["vertex_count"], doc["c_edges"], doc["d_edges"], doc.get("labels"))
 
 

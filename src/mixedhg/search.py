@@ -1,14 +1,17 @@
 """Realization checks, deletion criticality, and a capped minimality search.
 
-The search enumerates every hypergraph on ``n`` vertices whose C-edges all
-have one fixed size and whose D-edges all have another, one edge-count layer
-after another, and tests each for being a one-realization of the target set
-with partition bitsets (see ``_kill_tables``).  Isomorphism classes are
-counted per edge count by Polya's theorem (``class_counts``); only inside the
-layer of a witness are they told apart by a canonical form (the minimum of
-the edge-set bit masks over all vertex permutations).  The uniform edge
-sizes and the small vertex cap make this evidence about minimality, not a
-proof: a non-uniform or larger hypergraph is never examined.
+The search covers every hypergraph on ``n`` vertices whose C-edges all have
+one fixed size and whose D-edges all have another, ordered by edge count and
+then by flat id, and reports the first one-realization of the target set in
+that order.  It decides with partition bitsets (see ``_kill_tables``): C-masks
+with equal kill masks are merged, and each distinct C kill mask is tested
+against every D-mask at once (``_hits``), so an exhausted space needs no
+candidate order at all.  Isomorphism classes are counted per edge count by
+Polya's theorem (``class_counts``); only in the layer of a witness, up to the
+witness, are they told apart by a canonical form (the minimum of the
+edge-set bit masks over all vertex permutations).  The uniform edge sizes
+and the small vertex cap make this evidence about minimality, not a proof: a
+non-uniform or larger hypergraph is never examined.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
-from math import factorial, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from math import comb, factorial, prod
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -27,9 +30,11 @@ from .coloring import Spectrum, _partition_rows, chromatic_spectrum, feasible_se
 from .constructions import TargetSet, minimum_size, smallest_one_realization
 
 VERTEX_CAP = 6
-# at n <= 6 no space has between 2^21 and 2^26 candidates; the scan's layers
-# take about 5 bytes per candidate, 5 GiB for a 2^30 space
+# at n <= 6 no space has between 2^21 and 2^26 candidates; the largest take
+# about 10 s and 120 MiB (README, "Limits")
 CANDIDATE_CAP = 1 << 26
+# 64-bit entries in one working array of the hit table or of the keys (8 MiB)
+_ENTRIES = 1 << 20
 
 
 class Outcome(str, Enum):
@@ -129,18 +134,13 @@ def _or_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _subset_images(
-    perms: Iterable[Sequence[int]], c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
-) -> Iterator[tuple[list[int], list[int]]]:
-    """For each vertex permutation in turn, the index every C-subset and every
-    D-subset moves to."""
-    c_index = {s: i for i, s in enumerate(c_subsets)}
-    d_index = {s: i for i, s in enumerate(d_subsets)}
-    for perm in perms:
-        yield (
-            [c_index[tuple(sorted(perm[v] for v in s))] for s in c_subsets],
-            [d_index[tuple(sorted(perm[v] for v in s))] for s in d_subsets],
-        )
+def _images(n: int, subsets: list[tuple[int, ...]], perms: np.ndarray) -> np.ndarray:
+    """``images[i, p]``: the index that vertex permutation ``perms[p]`` moves
+    subset ``i`` to, found through a lookup from vertex bitmask to index."""
+    masks = np.array([sum(1 << v for v in s) for s in subsets], dtype=np.int64)
+    index = np.zeros(1 << n, dtype=np.int64)
+    index[masks] = np.arange(len(subsets))
+    return index[(masks[:, None] >> np.arange(n) & 1) @ (1 << perms.T)]
 
 
 def _cycle_types(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -161,15 +161,23 @@ def canonical_keys(
 
     Candidate ``mask_c << len(d_subsets) | mask_d`` maps to the minimum, over
     all vertex permutations, of the permuted pair packed the same way.  Two
-    candidates get equal keys exactly when they are isomorphic.
+    candidates get equal keys exactly when they are isomorphic.  Each byte
+    of a mask is permuted by one OR table with a column per permutation.
     """
     nd = len(d_subsets)
-    c_masks, d_masks = flats >> nd, flats & ((1 << nd) - 1)
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    pieces = []  # (a byte of every candidate's mask, the images of that byte)
+    for masks, subsets, shift in ((flats >> nd, c_subsets, nd), (flats & ((1 << nd) - 1), d_subsets, 0)):
+        images = 1 << (_images(n, subsets, perms) + shift)
+        pieces += [(masks >> low & 255, _or_table(images[low : low + 8])) for low in range(0, len(subsets), 8)]
     best = np.array(flats, dtype=np.int64)
-    for c_image, d_image in _subset_images(permutations(range(n)), c_subsets, d_subsets):
-        c_table = _or_table(1 << np.array(c_image, dtype=np.int64)) << nd
-        d_table = _or_table(1 << np.array(d_image, dtype=np.int64))
-        np.minimum(best, c_table[c_masks] | d_table[d_masks], out=best)
+    rows = _ENTRIES // len(perms)
+    for at in range(0, len(best), rows):
+        part = slice(at, at + rows)
+        permuted = np.zeros((len(best[part]), len(perms)), dtype=np.int64)
+        for byte, table in pieces:
+            permuted |= table[byte[part]]
+        np.minimum(best[part], permuted.min(axis=1), out=best[part])
     return best
 
 
@@ -192,7 +200,8 @@ def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple
         z = prod(length for length in lengths) * prod(factorial(m) for m in Counter(lengths).values())
         weights.append(factorial(n) // z)
     fixed = [0] * (len(c_subsets) + len(d_subsets) + 1)
-    for weight, (c_image, d_image) in zip(weights, _subset_images(reps, c_subsets, d_subsets)):
+    c_images, d_images = (_images(n, subsets, np.array(reps)).T.tolist() for subsets in (c_subsets, d_subsets))
+    for weight, c_image, d_image in zip(weights, c_images, d_images):
         poly = [1] + [0] * (len(fixed) - 1)
         for image in (c_image, d_image):
             seen = [False] * len(image)
@@ -258,32 +267,31 @@ def _kill_tables(
     return _or_table(kill_c), _or_table(kill_d), blocks
 
 
-def _spectra(kill_c: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, flats: np.ndarray, nd: int) -> np.ndarray:
-    """Feasible partitions per block count of the candidates ``flats``:
-    row ``i``, column ``k - 1`` counts those of ``flats[i]`` with ``k`` blocks."""
-    feasible = ~(kill_c[flats >> nd] | kill_d[flats & ((1 << nd) - 1)])
-    # built block count by block count: comparisons along a long axis are fast
-    return np.array([np.bitwise_count(feasible & row).sum(axis=1, dtype=np.uint8) for row in blocks]).T
+def _hits(kills: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """``hits[i, mask_d]``: whether the partitions killed neither by
+    ``kills[i]`` nor by D-mask ``mask_d`` are one with ``k`` blocks for each
+    wanted block count ``k`` and none with any other."""
+    feasible = ~(kills[:, None] | kill_d)
+    hit = ~(feasible & np.bitwise_or.reduce(blocks[~want])).any(axis=2)
+    for row in blocks[want]:
+        hit &= np.bitwise_count(feasible & row).sum(axis=2, dtype=np.uint8) == 1
+    return hit
+
+
+def _layer_until(flat: int, nd: int) -> np.ndarray:
+    """The ids with as many set bits as ``flat``, ascending, up to and
+    including ``flat``: each C-mask ``id >> nd`` up to ``flat``'s, with the
+    D-masks that bring it to that many."""
+    d_masks = np.arange(1 << nd)
+    d_edges = np.bitwise_count(d_masks)
+    below = flat.bit_count() - np.bitwise_count(np.arange((flat >> nd) + 1))
+    layer = np.sort(np.concatenate(
+        [(np.flatnonzero(below == j)[:, None] << nd | d_masks[d_edges == j]).ravel() for j in range(nd + 1)]
+    ))
+    return layer[: np.searchsorted(layer, flat) + 1]
 
 
 # --- search -----------------------------------------------------------------
-
-
-def _layers(bits: int) -> Iterator[np.ndarray]:
-    """Layer ``m`` for ``m = 0..bits``: the ids below ``2**bits`` with ``m``
-    set bits, ascending."""
-    below = [np.zeros(1, dtype=np.int64)] * (bits + 1)  # below[b]: layer m of the ids under 2**b
-    for _ in range(bits + 1):
-        yield below[bits]
-        # layer m + 1 under 2**(b + 1) is layer m + 1 under 2**b, then layer
-        # m under 2**b with bit b set
-        grown = np.zeros(0, dtype=np.int64)
-        for b in range(bits):
-            below[b], grown = grown, np.concatenate((grown, below[b] | 1 << b))
-        below[bits] = grown
-
-
-_CHUNK = 1 << 15
 
 
 def bounded_minimality_search(
@@ -294,12 +302,12 @@ def bounded_minimality_search(
 ) -> SearchReport:
     """Exhaust the uniform-edge-size candidate space on ``n`` vertices.
 
-    Candidates are visited layer by layer, fewest edges first, and by flat id
-    ``mask_c << len(d_subsets) | mask_d`` within a layer; the report carries
-    the first one-realization in that order, the number of candidates
-    enumerated before stopping, and the fraction of them that are isomorphic
-    duplicates of an earlier candidate.  Isomorphic candidates share a
-    spectrum, so the first hit is also the first hit among class
+    Candidates are ordered by edge count, fewest first, and by flat id
+    ``mask_c << len(d_subsets) | mask_d`` within an edge count; the report
+    carries the first one-realization in that order, the number of
+    candidates up to and including it, and the fraction of them that are
+    isomorphic duplicates of an earlier candidate.  Isomorphic candidates
+    share a spectrum, so the first hit is also the first hit among class
     representatives.  ``jobs`` is accepted like elsewhere in the package, but
     the search runs vectorised in this process and starts no workers.
     """
@@ -316,24 +324,40 @@ def bounded_minimality_search(
     if total > budget.max_candidates:
         return SearchReport(Outcome.BUDGET_EXCEEDED, None, 0, 0.0)
 
-    kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
-    want = np.array([int(k in ts.values) for k in range(1, n + 1)])
     classes = class_counts(n, c_subsets, d_subsets)
-    before = 0  # candidates in the layers already scanned
+    exhausted = SearchReport(Outcome.EXHAUSTED, None, total, (total - sum(classes)) / total)
     # a target above n needs more blocks than vertices: nothing can hit
-    for m, layer in enumerate(_layers(nc + nd) if max(ts.values) <= n else ()):
-        for at in range(0, len(layer), _CHUNK):
-            flats = layer[at : at + _CHUNK]
-            hits = np.flatnonzero((_spectra(kill_c, kill_d, blocks, flats, nd) == want).all(axis=1))
-            if len(hits):
-                pos = at + int(hits[0])
-                examined = before + pos + 1
-                flat = int(layer[pos])
-                # isomorphic candidates have equal edge counts: every class of
-                # the layers below is complete, keys split only this layer
-                keys = canonical_keys(n, c_subsets, d_subsets, layer[: pos + 1])
-                unique = sum(classes[:m]) + len(np.unique(keys))
-                witness = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), c_subsets, d_subsets)
-                return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)
-        before += len(layer)
-    return SearchReport(Outcome.EXHAUSTED, None, total, (total - sum(classes)) / total)
+    if max(ts.values) > n:
+        return exhausted
+    kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+    want = np.isin(np.arange(1, n + 1), ts.values)
+    # C-masks with equal kill masks hit with the same D-masks (rows compared
+    # as raw bytes: np.unique with axis=0 is slow on rows of several words)
+    as_bytes = kill_c.view(f"V{kill_c[0].nbytes}")[:, 0]
+    _, kept, row_of = np.unique(as_bytes, return_index=True, return_inverse=True)
+    kills = kill_c[kept]
+    # D-masks by edge count, then mask: the first hit of a row has the fewest D-edges
+    d_order = np.argsort(np.bitwise_count(np.arange(1 << nd)), kind="stable")
+    d_edges = np.bitwise_count(d_order)
+    kill_d = kill_d[d_order]
+    fewest = np.empty(len(kills), dtype=np.int64)  # per kill mask, above nd if nothing hits
+    step = max(1, _ENTRIES // kill_d.size)
+    for at in range(0, len(kills), step):
+        hit = _hits(kills[at : at + step], kill_d, blocks, want)
+        col = hit.argmax(axis=1)
+        fewest[at : at + step] = np.where(hit[np.arange(len(col)), col], d_edges[col], nc + nd + 1)
+    if (fewest > nd).all():
+        return exhausted
+
+    # the first hit: fewest edges, then the smallest C-mask, then D-mask
+    edges = np.bitwise_count(np.arange(1 << nc)) + fewest[row_of]
+    mask_c = int(edges.argmin())
+    m = int(edges[mask_c])
+    mask_d = int(d_order[_hits(kills[row_of[mask_c], None], kill_d, blocks, want)[0].argmax()])
+    layer = _layer_until(mask_c << nd | mask_d, nd)
+    examined = sum(comb(nc + nd, j) for j in range(m)) + len(layer)
+    # isomorphic candidates have equal edge counts: every class of the layers
+    # below is complete, keys split only this layer
+    unique = sum(classes[:m]) + len(np.unique(canonical_keys(n, c_subsets, d_subsets, layer)))
+    witness = hypergraph_from_masks(n, mask_c, mask_d, c_subsets, d_subsets)
+    return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)

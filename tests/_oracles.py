@@ -2,15 +2,33 @@
 
 Nothing here shares code paths with the library's pruned enumeration: the
 partition generator spells out every restricted-growth string, and the
-spectrum oracle filters them with the definitional properness check.
+spectrum oracle filters them with the definitional properness check.  The
+layer-scan minimality search spectrum-tests every candidate in order and
+shares only its unchanged helpers with the pair-table search it checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
-from typing import Iterator
+from itertools import permutations
+from math import factorial, prod
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from mixedhg import MixedHypergraph, Partition, is_proper
+from mixedhg.constructions import TargetSet
+from mixedhg.search import (
+    Outcome,
+    SearchBudget,
+    SearchReport,
+    _cycle_types,
+    _kill_tables,
+    _or_table,
+    edge_subsets,
+    hypergraph_from_masks,
+)
 
 
 def all_restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -67,3 +85,158 @@ def restrict_partition(p: Partition, keep: set[int]) -> Partition:
     for v in kept:
         blocks.setdefault(p.assignment[v], []).append(pos[v])
     return Partition.from_blocks(blocks.values())
+
+
+# --- the layer-scan minimality search ----------------------------------------
+#
+# The search as it was before the pair table: every candidate is
+# spectrum-tested, one edge-count layer at a time, and canonical keys are
+# built one vertex permutation at a time.  Only helpers the pair-table engine
+# left unchanged are imported from the library.
+
+
+def _subset_images(
+    perms: Iterable[Sequence[int]], c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
+) -> Iterator[tuple[list[int], list[int]]]:
+    """For each vertex permutation in turn, the index every C-subset and every
+    D-subset moves to."""
+    c_index = {s: i for i, s in enumerate(c_subsets)}
+    d_index = {s: i for i, s in enumerate(d_subsets)}
+    for perm in perms:
+        yield (
+            [c_index[tuple(sorted(perm[v] for v in s))] for s in c_subsets],
+            [d_index[tuple(sorted(perm[v] for v in s))] for s in d_subsets],
+        )
+
+
+def per_permutation_keys(
+    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]], flats: np.ndarray
+) -> np.ndarray:
+    """Canonical form of the candidates ``flats``.
+
+    Candidate ``mask_c << len(d_subsets) | mask_d`` maps to the minimum, over
+    all vertex permutations, of the permuted pair packed the same way.  Two
+    candidates get equal keys exactly when they are isomorphic.
+    """
+    nd = len(d_subsets)
+    c_masks, d_masks = flats >> nd, flats & ((1 << nd) - 1)
+    best = np.array(flats, dtype=np.int64)
+    for c_image, d_image in _subset_images(permutations(range(n)), c_subsets, d_subsets):
+        c_table = _or_table(1 << np.array(c_image, dtype=np.int64)) << nd
+        d_table = _or_table(1 << np.array(d_image, dtype=np.int64))
+        np.minimum(best, c_table[c_masks] | d_table[d_masks], out=best)
+    return best
+
+
+def subset_image_class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> list[int]:
+    """``classes[m]``: the isomorphism classes of candidates with ``m`` edges.
+
+    By Polya's counting theorem, the mean over vertex permutations of the
+    coefficients of the product of ``1 + x^len`` over the permutation's
+    cycles on the C-subsets and on the D-subsets.  Those cycles depend only
+    on the permutation's own cycle type, so one permutation of each type is
+    expanded, weighted by the ``n! / z`` permutations of that type.
+    """
+    reps, weights = [], []
+    for lengths in _cycle_types(n):
+        perm: list[int] = []
+        for length in lengths:
+            start = len(perm)
+            perm += [start + (j + 1) % length for j in range(length)]
+        reps.append(perm)
+        z = prod(length for length in lengths) * prod(factorial(m) for m in Counter(lengths).values())
+        weights.append(factorial(n) // z)
+    fixed = [0] * (len(c_subsets) + len(d_subsets) + 1)
+    for weight, (c_image, d_image) in zip(weights, _subset_images(reps, c_subsets, d_subsets)):
+        poly = [1] + [0] * (len(fixed) - 1)
+        for image in (c_image, d_image):
+            seen = [False] * len(image)
+            for i in range(len(image)):
+                length = 0
+                while not seen[i]:
+                    seen[i] = True
+                    i = image[i]
+                    length += 1
+                if length:
+                    for m in range(len(poly) - 1, length - 1, -1):
+                        poly[m] += poly[m - length]
+        fixed = [f + weight * p for f, p in zip(fixed, poly)]
+    return [f // factorial(n) for f in fixed]
+
+
+def _spectra(kill_c: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, flats: np.ndarray, nd: int) -> np.ndarray:
+    """Feasible partitions per block count of the candidates ``flats``:
+    row ``i``, column ``k - 1`` counts those of ``flats[i]`` with ``k`` blocks."""
+    feasible = ~(kill_c[flats >> nd] | kill_d[flats & ((1 << nd) - 1)])
+    # built block count by block count: comparisons along a long axis are fast
+    return np.array([np.bitwise_count(feasible & row).sum(axis=1, dtype=np.uint8) for row in blocks]).T
+
+
+def _layers(bits: int) -> Iterator[np.ndarray]:
+    """Layer ``m`` for ``m = 0..bits``: the ids below ``2**bits`` with ``m``
+    set bits, ascending."""
+    below = [np.zeros(1, dtype=np.int64)] * (bits + 1)  # below[b]: layer m of the ids under 2**b
+    for _ in range(bits + 1):
+        yield below[bits]
+        # layer m + 1 under 2**(b + 1) is layer m + 1 under 2**b, then layer
+        # m under 2**b with bit b set
+        grown = np.zeros(0, dtype=np.int64)
+        for b in range(bits):
+            below[b], grown = grown, np.concatenate((grown, below[b] | 1 << b))
+        below[bits] = grown
+
+
+_CHUNK = 1 << 15
+
+
+def layer_scan_search(
+    ts: TargetSet,
+    n: int,
+    budget: Optional[SearchBudget] = None,
+    jobs: int = 1,
+) -> SearchReport:
+    """Exhaust the uniform-edge-size candidate space on ``n`` vertices.
+
+    Candidates are visited layer by layer, fewest edges first, and by flat id
+    ``mask_c << len(d_subsets) | mask_d`` within a layer; the report carries
+    the first one-realization in that order, the number of candidates
+    enumerated before stopping, and the fraction of them that are isomorphic
+    duplicates of an earlier candidate.  Isomorphic candidates share a
+    spectrum, so the first hit is also the first hit among class
+    representatives.  ``jobs`` is accepted like elsewhere in the package, but
+    the search runs vectorised in this process and starts no workers.
+    """
+    budget = budget or SearchBudget()
+    if n < 1:
+        raise ValueError("vertex count must be positive")
+    if n > budget.max_vertices:
+        raise ValueError(f"n={n} exceeds the search cap of {budget.max_vertices} vertices")
+
+    c_subsets = edge_subsets(n, budget.c_edge_size)
+    d_subsets = edge_subsets(n, budget.d_edge_size)
+    nc, nd = len(c_subsets), len(d_subsets)
+    total = 1 << (nc + nd)
+    if total > budget.max_candidates:
+        return SearchReport(Outcome.BUDGET_EXCEEDED, None, 0, 0.0)
+
+    kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+    want = np.array([int(k in ts.values) for k in range(1, n + 1)])
+    classes = subset_image_class_counts(n, c_subsets, d_subsets)
+    before = 0  # candidates in the layers already scanned
+    # a target above n needs more blocks than vertices: nothing can hit
+    for m, layer in enumerate(_layers(nc + nd) if max(ts.values) <= n else ()):
+        for at in range(0, len(layer), _CHUNK):
+            flats = layer[at : at + _CHUNK]
+            hits = np.flatnonzero((_spectra(kill_c, kill_d, blocks, flats, nd) == want).all(axis=1))
+            if len(hits):
+                pos = at + int(hits[0])
+                examined = before + pos + 1
+                flat = int(layer[pos])
+                # isomorphic candidates have equal edge counts: every class of
+                # the layers below is complete, keys split only this layer
+                keys = per_permutation_keys(n, c_subsets, d_subsets, layer[: pos + 1])
+                unique = sum(classes[:m]) + len(np.unique(keys))
+                witness = hypergraph_from_masks(n, flat >> nd, flat & ((1 << nd) - 1), c_subsets, d_subsets)
+                return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)
+        before += len(layer)
+    return SearchReport(Outcome.EXHAUSTED, None, total, (total - sum(classes)) / total)

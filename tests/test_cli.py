@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,24 @@ class TestVerify:
         assert run(capsys, "verify", str(bad), "--set", "0,4")[0] == 2
         bad.write_text('{"format_version": 1, "vertex_count": 2, "c_edges": [5], "d_edges": []}')
         assert run(capsys, "verify", str(bad), "--set", "2,4")[:2] == (2, "")
+
+
+class TestDocumentVertexCap:
+    @pytest.mark.parametrize("argv", [("verify", "--set", "2"), ("spectrum",)])
+    def test_oversize_document_exits_2_at_once(self, capsys, tmp_path, argv):
+        path = tmp_path / "big.json"
+        path.write_text('{"format_version": 1, "vertex_count": 2000, "c_edges": [], "d_edges": []}')
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, argv[0], str(path), *argv[1:])
+        assert time.perf_counter() - start < 1.0
+        assert (code, stdout) == (2, "")
+        assert "document cap of 512" in stderr
+
+    def test_largest_construction_still_loads(self, capsys):
+        # delta({130, 129, 3}) = 256 and variant one builds one vertex more
+        code, stdout, stderr = run(capsys, "construct", "--set", "130,129,3", "--variant", "one")
+        assert code == 0 and "vertices=257 delta=256" in stderr
+        assert loads(stdout).n == 257
 
 
 class TestSearchMin:

@@ -218,7 +218,7 @@ class TestFrontierCounts:
             assert _frontier_counts(h, _greedy_order(near), near) == expected
             assert _frontier_counts(h, shuffled, near) == expected
 
-    def test_greedy_order_is_kept_only_when_narrower(self, monkeypatch):
+    def test_counting_runs_along_the_greedy_order(self, monkeypatch):
         # a path numbered from both ends: id order keeps half the path open,
         # the greedy order walks along the path
         h = both_ends_path(10)
@@ -233,7 +233,7 @@ class TestFrontierCounts:
         chromatic_spectrum(h)
         assert orders == [_greedy_order(_neighbourhoods(h))] == [[0, 9, 1, 8, 2, 7, 3, 6, 4, 5]]
 
-    def test_complete_primal_graph_skips_the_greedy_order(self):
+    def test_greedy_order_is_id_order_on_complete_primal_graphs(self):
         # every vertex shares an edge with every other: the greedy order is id order
         h = construct_one(TargetSet((5, 3, 2)))
         assert all(len(vs) == h.n for vs in _neighbourhoods(h))

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from mixedhg import MixedHypergraph, TargetSet, construct_one, construct_two
-from mixedhg.documents import dumps, from_document, load, load_hashed, loads, save, to_document
+from mixedhg.documents import VERTEX_CAP, dumps, from_document, load, load_hashed, loads, save, to_document
 
 
 SAMPLES = [
@@ -107,3 +107,14 @@ def test_not_json_rejected():
         loads("{oops")
     with pytest.raises(ValueError, match="object"):
         loads("[1, 2]")
+
+
+def test_vertex_cap():
+    assert VERTEX_CAP == 512
+    assert from_document({"format_version": 1, "vertex_count": 512, "c_edges": [], "d_edges": []}).n == 512
+    with pytest.raises(ValueError, match="vertex_count exceeds the document cap of 512"):
+        from_document({"format_version": 1, "vertex_count": 513, "c_edges": [], "d_edges": []})
+    # the package never writes a document it cannot read
+    assert to_document(MixedHypergraph(512, [], []))["vertex_count"] == 512
+    with pytest.raises(ValueError, match="513 vertices exceed the document cap of 512"):
+        to_document(MixedHypergraph(513, [], []))

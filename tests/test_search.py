@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,18 +21,19 @@ from mixedhg import (
     minimum_size,
     smallest_one_realization,
 )
+from mixedhg import search
 from mixedhg.search import (
     CANDIDATE_CAP,
+    _hits,
     _kill_tables,
-    _layers,
-    _spectra,
+    _layer_until,
     canonical_keys,
     class_counts,
     edge_subsets,
     hypergraph_from_masks,
 )
 
-from _oracles import brute_force_spectrum
+from _oracles import brute_force_spectrum, layer_scan_search, per_permutation_keys
 
 
 class TestRealizationPredicates:
@@ -156,6 +158,31 @@ class TestBoundedSearch:
         if report.witness is not None:
             assert is_one_realization(report.witness, values)
 
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ((4, 2), ("exhausted", 1048576, 0.98980712890625)),
+            ((5, 3), ("exhausted", 1048576, 0.98980712890625)),
+            ((5, 4), ("witness-found", 263951, 0.9893995476433126)),
+            ((4, 3, 2), ("witness-found", 139116, 0.988160959199517)),
+        ],
+    )
+    def test_pinned_reports_at_five_vertices(self, values, expected):
+        report = bounded_minimality_search(TargetSet(values), 5)
+        assert (report.outcome.value, report.examined, report.dedup_ratio) == expected
+        if report.witness is not None:
+            assert is_one_realization(report.witness, values)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_layer_scan(self, n):
+        sizes = [(3, 2), (2, 3)] + ([(2, 2), (3, 3), (4, 2)] if n <= 4 else [])
+        targets = [v for r in (2, 3) for v in itertools.combinations(range(2, 7), r)]
+        for (c_size, d_size), values in itertools.product(sizes, targets):
+            budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size)
+            ts = TargetSet(values)
+            expected = layer_scan_search(ts, n, budget)
+            assert bounded_minimality_search(ts, n, budget) == expected, (c_size, d_size, values)
+
     def test_witness_at_the_formula_size_for_4_3(self):
         # delta({4,3}) = 4 and the variant-two instance is (3,2)-uniform,
         # so the capped search must find some witness on 4 vertices
@@ -199,6 +226,22 @@ class TestCanonicalKeys:
                 ha = hypergraph_from_masks(n, a >> nd, a & (1 << nd) - 1, c_subsets, d_subsets)
                 hb = hypergraph_from_masks(n, b >> nd, b & (1 << nd) - 1, c_subsets, d_subsets)
                 assert are_isomorphic(ha, hb) is None
+
+    @pytest.mark.parametrize("n,c_size,d_size", [(4, 3, 2), (5, 3, 2), (5, 2, 3)])
+    def test_match_the_per_permutation_keys(self, n, c_size, d_size):
+        c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+        total = 1 << (len(c_subsets) + len(d_subsets))
+        flats = np.array(sorted(random.Random(n).sample(range(total), min(total, 3000))))
+        expected = per_permutation_keys(n, c_subsets, d_subsets, flats)
+        assert (canonical_keys(n, c_subsets, d_subsets, flats) == expected).all()
+
+    def test_small_chunks_give_the_same_keys(self, monkeypatch):
+        n = 4
+        c_subsets, d_subsets = edge_subsets(n, 3), edge_subsets(n, 2)
+        flats = np.arange(1 << (len(c_subsets) + len(d_subsets)))
+        whole = canonical_keys(n, c_subsets, d_subsets, flats)
+        monkeypatch.setattr(search, "_ENTRIES", 7 * 24)  # 7 candidates of 24 permutations a chunk
+        assert (canonical_keys(n, c_subsets, d_subsets, flats) == whole).all()
 
     def test_identity_key_bounds(self):
         n = 4
@@ -244,21 +287,34 @@ class TestKillMasks:
             ts = TargetSet(values)
             assert bounded_minimality_search(ts, n, budget) == class_scan(ts, n, c_size, d_size), values
 
-    def test_layers_follow_the_candidate_order(self):
+    def test_witness_layer_follows_the_candidate_order(self):
         for bits in range(11):
             order = sorted(range(1 << bits), key=lambda f: (f.bit_count(), f))
-            assert np.concatenate(list(_layers(bits))).tolist() == order
+            for nd in {0, bits // 2, bits}:
+                for pos, flat in enumerate(order):
+                    layer = _layer_until(flat, nd)
+                    m = flat.bit_count()
+                    assert sum(comb(bits, j) for j in range(m)) + len(layer) - 1 == pos, (bits, nd, flat)
+                    assert layer.tolist() == order[pos - len(layer) + 1 : pos + 1], (bits, nd, flat)
 
-    def test_spectra_match_brute_force(self):
+    def test_hits_match_brute_force(self):
         n = 5
         c_subsets, d_subsets = edge_subsets(n, 3), edge_subsets(n, 2)
         nd = len(d_subsets)
         kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
-        flats = np.array(random.Random(5).sample(range(1 << (len(c_subsets) + nd)), 200))
-        for flat, counts in zip(flats.tolist(), _spectra(kill_c, kill_d, blocks, flats, nd).tolist()):
+        flats = random.Random(5).sample(range(1 << (len(c_subsets) + nd)), 200)
+        targets = [v for r in (2, 3) for v in itertools.combinations(range(2, n + 1), r)]
+        hits = 0
+        for flat in flats:
             h = hypergraph_from_masks(n, flat >> nd, flat & (1 << nd) - 1, c_subsets, d_subsets)
-            top = max((k for k, c in enumerate(counts, start=1) if c), default=0)
-            assert tuple(counts[:top]) == brute_force_spectrum(h), flat
+            spectrum = brute_force_spectrum(h)
+            for values in targets:
+                want = np.isin(np.arange(1, n + 1), values)
+                verdict = bool(_hits(kill_c[[flat >> nd]], kill_d, blocks, want)[0, flat & (1 << nd) - 1])
+                one = tuple(int(k in values) for k in range(1, max(values) + 1))
+                assert verdict == (spectrum == one), (flat, values)
+                hits += verdict
+        assert hits, "the sample must contain one-realizations"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_burnside_count_matches_the_keys(self, n):
