@@ -149,7 +149,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search_min(args: argparse.Namespace) -> int:
     ts = _parse_target_set(args.set)
     budget = search.SearchBudget(
-        max_vertices=args.max_vertices,
         c_edge_size=args.c_size,
         d_edge_size=args.d_size,
         max_candidates=args.max_candidates,
@@ -234,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="vertex count to search")
     p.add_argument("--jobs", type=int, default=1, help="accepted like spectrum's; the search starts no processes")
     budget = search.SearchBudget()
-    p.add_argument("--max-vertices", type=int, default=budget.max_vertices, help="hard vertex cap")
     p.add_argument("--c-size", type=int, default=budget.c_edge_size, help="uniform C-edge size")
     p.add_argument("--d-size", type=int, default=budget.d_edge_size, help="uniform D-edge size")
     p.add_argument("--max-candidates", type=int, default=budget.max_candidates)

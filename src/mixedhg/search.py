@@ -4,14 +4,15 @@ The search covers every hypergraph on ``n`` vertices whose C-edges all have
 one fixed size and whose D-edges all have another, ordered by edge count and
 then by flat id, and reports the first one-realization of the target set in
 that order.  It decides with partition bitsets (see ``_kill_tables``): C-masks
-with equal kill masks are merged, and each distinct C kill mask is tested
-against every D-mask at once (``_hits``), so an exhausted space needs no
-candidate order at all.  Isomorphism classes are counted per edge count by
-Polya's theorem (``class_counts``); only in the layer of a witness, up to the
-witness, are they told apart by a canonical form (the minimum of the
-edge-set bit masks over all vertex permutations).  The uniform edge sizes
-and the small vertex cap make this evidence about minimality, not a proof: a
-non-uniform or larger hypergraph is never examined.
+with equal kill masks are merged, and the D-masks are walked in chunks, each
+tested against every distinct C kill mask at once (``_hits``), so an
+exhausted space needs no candidate order at all.  The witness is read off
+that one pass.  Isomorphism classes are counted per edge count by Polya's
+theorem (``class_counts``); only in the layer of a witness, up to the
+witness, are they told apart by a canonical form (the smallest id in the
+candidate's isomorphism class).  The uniform edge sizes and the small vertex
+cap make this evidence about minimality, not a proof: a non-uniform or
+larger hypergraph is never examined.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .constructions import TargetSet, minimum_size, smallest_one_realization
 
 VERTEX_CAP = 6
 # at n <= 6 no space has between 2^21 and 2^26 candidates; the largest take
-# about 10 s and 120 MiB (README, "Limits")
+# about 7 s and 100 MiB (README, "Limits")
 CANDIDATE_CAP = 1 << 26
 # 64-bit entries in one working array of the hit table or of the keys (8 MiB)
 _ENTRIES = 1 << 20
@@ -43,19 +44,16 @@ class Outcome(str, Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SearchBudget:
-    """Caps for the bounded search: vertex ceiling, fixed edge sizes, and the
-    maximum number of edge-set combinations worth examining."""
+    """The fixed edge sizes of the bounded search and its one budget: the
+    most edge-set combinations (candidates) that one search may cover."""
 
-    max_vertices: int = 5
     c_edge_size: int = 3
     d_edge_size: int = 2
     max_candidates: int = 1 << 22
 
     def __post_init__(self) -> None:
-        if not 1 <= self.max_vertices <= VERTEX_CAP:
-            raise ValueError(f"max_vertices must be in 1..{VERTEX_CAP}")
         if self.c_edge_size < 2 or self.d_edge_size < 2:
             raise ValueError("edge sizes must be at least 2")
         if not 1 <= self.max_candidates <= CANDIDATE_CAP:
@@ -171,7 +169,7 @@ def canonical_keys(
         images = 1 << (_images(n, subsets, perms) + shift)
         pieces += [(masks >> low & 255, _or_table(images[low : low + 8])) for low in range(0, len(subsets), 8)]
     best = np.array(flats, dtype=np.int64)
-    rows = _ENTRIES // len(perms)
+    rows = max(1, _ENTRIES // len(perms))
     for at in range(0, len(best), rows):
         part = slice(at, at + rows)
         permuted = np.zeros((len(best[part]), len(perms)), dtype=np.int64)
@@ -267,6 +265,18 @@ def _kill_tables(
     return _or_table(kill_c), _or_table(kill_d), blocks
 
 
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``table`` in no set order, and ``row_of`` with
+    ``distinct[row_of] == table``: sort the rows by their words, keep each
+    one that differs from its neighbour, and number the runs."""
+    order = np.lexsort(table.T)
+    ranked = table[order]
+    new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    row_of = np.empty(len(table), dtype=np.int64)
+    row_of[order] = np.cumsum(new) - 1
+    return ranked[new], row_of
+
+
 def _hits(kills: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, want: np.ndarray) -> np.ndarray:
     """``hits[i, mask_d]``: whether the partitions killed neither by
     ``kills[i]`` nor by D-mask ``mask_d`` are one with ``k`` blocks for each
@@ -314,8 +324,8 @@ def bounded_minimality_search(
     budget = budget or SearchBudget()
     if n < 1:
         raise ValueError("vertex count must be positive")
-    if n > budget.max_vertices:
-        raise ValueError(f"n={n} exceeds the search cap of {budget.max_vertices} vertices")
+    if n > VERTEX_CAP:
+        raise ValueError(f"n={n} exceeds the search cap of {VERTEX_CAP} vertices")
 
     c_subsets = edge_subsets(n, budget.c_edge_size)
     d_subsets = edge_subsets(n, budget.d_edge_size)
@@ -331,33 +341,30 @@ def bounded_minimality_search(
         return exhausted
     kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
     want = np.isin(np.arange(1, n + 1), ts.values)
-    # C-masks with equal kill masks hit with the same D-masks (rows compared
-    # as raw bytes: np.unique with axis=0 is slow on rows of several words)
-    as_bytes = kill_c.view(f"V{kill_c[0].nbytes}")[:, 0]
-    _, kept, row_of = np.unique(as_bytes, return_index=True, return_inverse=True)
-    kills = kill_c[kept]
-    # D-masks by edge count, then mask: the first hit of a row has the fewest D-edges
+    # C-masks with equal kill masks hit with the same D-masks
+    kills, row_of = _distinct_rows(kill_c)
+    # D-masks by edge count, then mask: a kill mask's first hit in this order
+    # has the fewest D-edges, and position 1 << nd stands for no hit
     d_order = np.argsort(np.bitwise_count(np.arange(1 << nd)), kind="stable")
-    d_edges = np.bitwise_count(d_order)
-    kill_d = kill_d[d_order]
-    fewest = np.empty(len(kills), dtype=np.int64)  # per kill mask, above nd if nothing hits
-    step = max(1, _ENTRIES // kill_d.size)
-    for at in range(0, len(kills), step):
-        hit = _hits(kills[at : at + step], kill_d, blocks, want)
-        col = hit.argmax(axis=1)
-        fewest[at : at + step] = np.where(hit[np.arange(len(col)), col], d_edges[col], nc + nd + 1)
-    if (fewest > nd).all():
-        return exhausted
+    first = np.full(len(kills), 1 << nd)
+    step = max(1, _ENTRIES // kills.size)
+    for at in range(0, 1 << nd, step):
+        hit = _hits(kills, kill_d[d_order[at : at + step]], blocks, want)
+        np.minimum(first, np.where(hit.any(axis=1), at + hit.argmax(axis=1), 1 << nd), out=first)
 
     # the first hit: fewest edges, then the smallest C-mask, then D-mask
-    edges = np.bitwise_count(np.arange(1 << nc)) + fewest[row_of]
+    d_edges = np.append(np.bitwise_count(d_order), nc + nd + 1)
+    edges = np.bitwise_count(np.arange(1 << nc)) + d_edges[first[row_of]]
     mask_c = int(edges.argmin())
     m = int(edges[mask_c])
-    mask_d = int(d_order[_hits(kills[row_of[mask_c], None], kill_d, blocks, want)[0].argmax()])
+    if m > nc + nd:
+        return exhausted
+    mask_d = int(d_order[first[row_of[mask_c]]])
     layer = _layer_until(mask_c << nd | mask_d, nd)
     examined = sum(comb(nc + nd, j) for j in range(m)) + len(layer)
     # isomorphic candidates have equal edge counts: every class of the layers
-    # below is complete, keys split only this layer
-    unique = sum(classes[:m]) + len(np.unique(canonical_keys(n, c_subsets, d_subsets, layer)))
+    # below is complete, and the layer prefix holds each class it meets at its
+    # smallest id, which is the class's key
+    unique = sum(classes[:m]) + int((canonical_keys(n, c_subsets, d_subsets, layer) == layer).sum())
     witness = hypergraph_from_masks(n, mask_c, mask_d, c_subsets, d_subsets)
     return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)

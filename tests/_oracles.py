@@ -23,6 +23,7 @@ from mixedhg.search import (
     Outcome,
     SearchBudget,
     SearchReport,
+    VERTEX_CAP,
     _cycle_types,
     _kill_tables,
     _or_table,
@@ -209,8 +210,8 @@ def layer_scan_search(
     budget = budget or SearchBudget()
     if n < 1:
         raise ValueError("vertex count must be positive")
-    if n > budget.max_vertices:
-        raise ValueError(f"n={n} exceeds the search cap of {budget.max_vertices} vertices")
+    if n > VERTEX_CAP:
+        raise ValueError(f"n={n} exceeds the search cap of {VERTEX_CAP} vertices")
 
     c_subsets = edge_subsets(n, budget.c_edge_size)
     d_subsets = edge_subsets(n, budget.d_edge_size)

@@ -246,6 +246,21 @@ class TestSearchMin:
         assert code == 2
         assert "exceeds" in stderr
 
+    def test_six_vertices_run_without_opt_in(self, capsys):
+        code, stdout, _ = run(capsys, "search-min", "--set", "6,5", "--n", "6", "--c-size", "6")
+        assert code == 0
+        assert "outcome: witness-found\nexamined: 65400\n" in stdout
+        # 2^35 candidates with the default sizes: over the default budget
+        code, stdout, stderr = run(capsys, "search-min", "--set", "4,2", "--n", "6")
+        assert code == 2
+        assert stdout.startswith("outcome: budget-exceeded\n") and stderr == ""
+
+    def test_max_vertices_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search-min", "--set", "4,2", "--n", "6", "--max-vertices", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-vertices" in capsys.readouterr().err
+
     def test_candidate_budget_exit(self, capsys):
         code, stdout, _ = run(
             capsys, "search-min", "--set", "3,2", "--n", "3", "--max-candidates", "4"
@@ -256,7 +271,7 @@ class TestSearchMin:
     def test_candidate_cap_exit(self, capsys):
         # 2^35 candidates: rejected before the candidate order is built
         code, stdout, stderr = run(
-            capsys, "search-min", "--set", "4,2", "--n", "6", "--max-vertices", "6",
+            capsys, "search-min", "--set", "4,2", "--n", "6",
             "--max-candidates", str(1 << 35),
         )
         assert code == 2

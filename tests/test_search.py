@@ -24,6 +24,7 @@ from mixedhg import (
 from mixedhg import search
 from mixedhg.search import (
     CANDIDATE_CAP,
+    _distinct_rows,
     _hits,
     _kill_tables,
     _layer_until,
@@ -77,14 +78,16 @@ class TestCheckMinimumSize:
 class TestBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SearchBudget(max_vertices=7)
-        with pytest.raises(ValueError):
             SearchBudget(c_edge_size=1)
         with pytest.raises(ValueError):
             SearchBudget(max_candidates=0)
         SearchBudget(max_candidates=CANDIDATE_CAP)
         with pytest.raises(ValueError, match="max_candidates"):
             SearchBudget(max_candidates=CANDIDATE_CAP + 1)
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            SearchBudget(5, 3, 2)
 
     def test_report_witness_consistency(self):
         with pytest.raises(ValueError):
@@ -115,8 +118,14 @@ class TestBoundedSearch:
         assert report.witness is None
 
     def test_vertex_cap_is_an_error(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="n=7 exceeds the search cap of 6 vertices"):
             bounded_minimality_search(TargetSet((4, 2)), 7)
+
+    def test_six_vertices_need_only_the_candidate_budget(self):
+        # the default sizes give 2^35 candidates at n=6 (test_pinned_reports
+        # runs n=6 spaces within the budget)
+        report = bounded_minimality_search(TargetSet((4, 2)), 6)
+        assert report == SearchReport(Outcome.BUDGET_EXCEEDED, None, 0, 0.0)
 
     def test_candidate_cap_reports_budget_exceeded(self):
         budget = SearchBudget(max_candidates=8)
@@ -152,7 +161,7 @@ class TestBoundedSearch:
         ],
     )
     def test_pinned_reports(self, values, n, c_size, d_size, expected):
-        budget = SearchBudget(max_vertices=6, c_edge_size=c_size, d_edge_size=d_size)
+        budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size)
         report = bounded_minimality_search(TargetSet(values), n, budget)
         assert (report.outcome.value, report.examined, report.dedup_ratio) == expected
         if report.witness is not None:
@@ -182,6 +191,32 @@ class TestBoundedSearch:
             ts = TargetSet(values)
             expected = layer_scan_search(ts, n, budget)
             assert bounded_minimality_search(ts, n, budget) == expected, (c_size, d_size, values)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_chunks_do_not_change_the_report(self, n, monkeypatch):
+        # small chunks split the D-masks, so first hits are merged across chunks
+        sizes = [(3, 2), (2, 3)] + ([(2, 2), (3, 3), (4, 2)] if n <= 4 else [])
+        targets = [v for r in (2, 3) for v in itertools.combinations(range(2, 7), r)]
+        cases = [(SearchBudget(c_edge_size=c, d_edge_size=d), TargetSet(values))
+                 for (c, d), values in itertools.product(sizes, targets)]
+        whole = [bounded_minimality_search(ts, n, budget) for budget, ts in cases]
+        for entries in (1, 7, 256):
+            monkeypatch.setattr(search, "_ENTRIES", entries)
+            assert [bounded_minimality_search(ts, n, budget) for budget, ts in cases] == whole, entries
+
+    def test_hit_tables_stay_within_the_bound(self, monkeypatch):
+        sizes = []
+
+        def recording(kills, kill_d, blocks, want):
+            sizes.append(len(kills) * len(kill_d) * kills.shape[1])
+            return _hits(kills, kill_d, blocks, want)
+
+        budget = SearchBudget(c_edge_size=4, d_edge_size=2)
+        whole = bounded_minimality_search(TargetSet((4, 2)), 5, budget)
+        monkeypatch.setattr(search, "_ENTRIES", 256)
+        monkeypatch.setattr(search, "_hits", recording)
+        assert bounded_minimality_search(TargetSet((4, 2)), 5, budget) == whole
+        assert sizes and max(sizes) <= 256
 
     def test_witness_at_the_formula_size_for_4_3(self):
         # delta({4,3}) = 4 and the variant-two instance is (3,2)-uniform,
@@ -296,6 +331,16 @@ class TestKillMasks:
                     m = flat.bit_count()
                     assert sum(comb(bits, j) for j in range(m)) + len(layer) - 1 == pos, (bits, nd, flat)
                     assert layer.tolist() == order[pos - len(layer) + 1 : pos + 1], (bits, nd, flat)
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 4])
+    def test_distinct_rows(self, words):
+        rng = np.random.default_rng(words)
+        # few distinct values per word, and planted copies of earlier rows
+        table = rng.integers(0, 3, size=(500, words), dtype=np.uint64) << np.uint64(61)
+        table[rng.integers(0, 500, 200)] = table[rng.integers(0, 500, 200)]
+        kills, row_of = _distinct_rows(table)
+        assert (kills[row_of] == table).all()
+        assert len(np.unique(kills, axis=0)) == len(kills) == len(np.unique(table, axis=0))
 
     def test_hits_match_brute_force(self):
         n = 5
