@@ -6,11 +6,13 @@ then by flat id, and reports the first one-realization of the target set in
 that order.  It decides with partition bitsets (see ``_kill_tables``): C-masks
 with equal kill masks are merged, and the D-masks are walked in chunks, each
 tested against every distinct C kill mask at once (``_hits``), so an
-exhausted space needs no candidate order at all.  The witness is read off
-that one pass.  Isomorphism classes are counted per edge count by Polya's
-theorem (``class_counts``); only in the layer of a witness, up to the
-witness, are they told apart by a canonical form (the smallest id in the
-candidate's isomorphism class).  The uniform edge sizes and the small vertex
+exhausted space needs no candidate order at all.  Edges only remove
+partitions, so before that test each side drops the kill masks that cannot
+be part of any hit (``_can_hit``).  The witness is read off that one pass.
+Isomorphism classes are counted per edge count by Polya's theorem
+(``class_counts``); only in the layer of a witness, up to the witness, are
+they told apart by a canonical form (the smallest id in the candidate's
+isomorphism class).  The uniform edge sizes and the small vertex
 cap make this evidence about minimality, not a proof: a non-uniform or
 larger hypergraph is never examined.
 """
@@ -32,9 +34,9 @@ from .constructions import TargetSet, minimum_size, smallest_one_realization
 
 VERTEX_CAP = 6
 # at n <= 6 no space has between 2^21 and 2^26 candidates; the largest take
-# about 7 s and 100 MiB (README, "Limits")
+# about 0.6 s and 100 MiB (README, "Limits")
 CANDIDATE_CAP = 1 << 26
-# 64-bit entries in one working array of the hit table or of the keys (8 MiB)
+# 64-bit entries in one working array of the prune, the hit table or the keys (8 MiB)
 _ENTRIES = 1 << 20
 
 
@@ -250,18 +252,21 @@ def _kill_tables(
     parts = _partition_rows(MixedHypergraph(n, [], []))
     words = -(-len(parts) // 64)
 
-    def pack(rows: list[np.ndarray]) -> np.ndarray:
-        bits = np.zeros((len(rows), 64 * words), dtype=bool)
-        bits[:, : len(parts)] = np.reshape(rows, (len(rows), len(parts)))
-        return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    def pack(bits: np.ndarray) -> np.ndarray:
+        """``bits[j, i]`` for partition ``j`` as row ``i`` of packed words."""
+        rows = np.zeros((bits.shape[1], 64 * words), dtype=bool)
+        rows[:, : len(parts)] = bits.T
+        return np.packbits(rows, axis=1, bitorder="little").view("<u8")
 
-    def distinct(s: tuple[int, ...]) -> np.ndarray:
-        members = np.sort(parts[:, list(s)], axis=1)
-        return 1 + np.count_nonzero(np.diff(members, axis=1), axis=1)
+    def steps(subsets: list[tuple[int, ...]]) -> np.ndarray:
+        """``steps[j, i, t]``: partition ``j`` puts the ``t``-th and next
+        smallest labels of subset ``i`` in different blocks."""
+        members = np.array(subsets or np.zeros((0, 0)), dtype=np.intp)  # an edge size above n has no subsets
+        return np.diff(np.sort(parts[:, members], axis=2), axis=2) != 0
 
-    kill_c = pack([distinct(s) == len(s) for s in c_subsets])
-    kill_d = pack([distinct(s) == 1 for s in d_subsets])
-    blocks = pack([parts.max(axis=1) + 1 == k for k in range(1, n + 1)])
+    kill_c = pack(steps(c_subsets).all(axis=2))
+    kill_d = pack(~steps(d_subsets).any(axis=2))
+    blocks = pack(parts.max(axis=1)[:, None] + 1 == np.arange(1, n + 1))
     return _or_table(kill_c), _or_table(kill_d), blocks
 
 
@@ -275,6 +280,19 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row_of = np.empty(len(table), dtype=np.int64)
     row_of[order] = np.cumsum(new) - 1
     return ranked[new], row_of
+
+
+def _can_hit(kills: np.ndarray, other_all: np.ndarray, blocks: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Whether each kill mask of one side can be part of a hit with some mask
+    of the other side, whose kill masks are all subsets of ``other_all``.
+    Edges only remove partitions, so a hit needs a partition that ``kills``
+    spares for each wanted block count, and ``other_all`` must kill every
+    unwanted partition that ``kills`` spares."""
+    spared = ~kills
+    can = ~(spared & np.bitwise_or.reduce(blocks[~want]) & ~other_all).any(axis=1)
+    for row in blocks[want]:
+        can &= (spared & row).any(axis=1)
+    return can
 
 
 def _hits(kills: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -343,14 +361,27 @@ def bounded_minimality_search(
     want = np.isin(np.arange(1, n + 1), ts.values)
     # C-masks with equal kill masks hit with the same D-masks
     kills, row_of = _distinct_rows(kill_c)
+    # only the C and D kill masks that can be part of a hit meet in _hits
+    rows = max(1, _ENTRIES // kills.shape[1])
+    live = np.flatnonzero(np.concatenate(
+        [_can_hit(kills[at : at + rows], kill_d[-1], blocks, want) for at in range(0, len(kills), rows)]
+    ))
+    if not live.size:
+        return exhausted
+    survivors = kills[live]
     # D-masks by edge count, then mask: a kill mask's first hit in this order
     # has the fewest D-edges, and position 1 << nd stands for no hit
     d_order = np.argsort(np.bitwise_count(np.arange(1 << nd)), kind="stable")
-    first = np.full(len(kills), 1 << nd)
-    step = max(1, _ENTRIES // kills.size)
+    found = np.full(len(live), 1 << nd)
+    step = max(1, _ENTRIES // survivors.size)
     for at in range(0, 1 << nd, step):
-        hit = _hits(kills, kill_d[d_order[at : at + step]], blocks, want)
-        np.minimum(first, np.where(hit.any(axis=1), at + hit.argmax(axis=1), 1 << nd), out=first)
+        chunk = kill_d[d_order[at : at + step]]
+        cols = np.flatnonzero(_can_hit(chunk, kill_c[-1], blocks, want))
+        if cols.size:
+            hit = _hits(survivors, chunk[cols], blocks, want)
+            np.minimum(found, np.where(hit.any(axis=1), at + cols[hit.argmax(axis=1)], 1 << nd), out=found)
+    first = np.full(len(kills), 1 << nd)
+    first[live] = found
 
     # the first hit: fewest edges, then the smallest C-mask, then D-mask
     d_edges = np.append(np.bitwise_count(d_order), nc + nd + 1)

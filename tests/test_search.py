@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -24,6 +25,7 @@ from mixedhg import (
 from mixedhg import search
 from mixedhg.search import (
     CANDIDATE_CAP,
+    _can_hit,
     _distinct_rows,
     _hits,
     _kill_tables,
@@ -34,7 +36,7 @@ from mixedhg.search import (
     hypergraph_from_masks,
 )
 
-from _oracles import brute_force_spectrum, layer_scan_search, per_permutation_keys
+from _oracles import all_restricted_growth_strings, brute_force_spectrum, layer_scan_search, per_permutation_keys
 
 
 class TestRealizationPredicates:
@@ -158,10 +160,13 @@ class TestBoundedSearch:
             # witnesses deep in the default n=5 space, whose layer holds many classes
             ((4, 3), 5, 3, 2, ("witness-found", 60583, 0.9878183648878398)),
             ((3, 2), 5, 3, 2, ("witness-found", 22415, 0.9848315859915235)),
+            # the 2^26-candidate spaces, nearly all pruned before the hit pass
+            ((4, 2), 6, 5, 3, ("exhausted", 67108864, 0.9983775615692139)),
+            ((4, 2), 6, 3, 5, ("exhausted", 67108864, 0.9983775615692139)),
         ],
     )
     def test_pinned_reports(self, values, n, c_size, d_size, expected):
-        budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size)
+        budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size, max_candidates=CANDIDATE_CAP)
         report = bounded_minimality_search(TargetSet(values), n, budget)
         assert (report.outcome.value, report.examined, report.dedup_ratio) == expected
         if report.witness is not None:
@@ -205,18 +210,31 @@ class TestBoundedSearch:
             assert [bounded_minimality_search(ts, n, budget) for budget, ts in cases] == whole, entries
 
     def test_hit_tables_stay_within_the_bound(self, monkeypatch):
-        sizes = []
+        sizes, pruned = [], []
 
         def recording(kills, kill_d, blocks, want):
             sizes.append(len(kills) * len(kill_d) * kills.shape[1])
             return _hits(kills, kill_d, blocks, want)
 
+        def recording_prune(kills, other_all, blocks, want):
+            pruned.append(kills.size)  # the prune's arrays are the shape of ``kills``
+            return _can_hit(kills, other_all, blocks, want)
+
         budget = SearchBudget(c_edge_size=4, d_edge_size=2)
-        whole = bounded_minimality_search(TargetSet((4, 2)), 5, budget)
+        whole = bounded_minimality_search(TargetSet((4, 3)), 5, budget)
         monkeypatch.setattr(search, "_ENTRIES", 256)
         monkeypatch.setattr(search, "_hits", recording)
-        assert bounded_minimality_search(TargetSet((4, 2)), 5, budget) == whole
+        monkeypatch.setattr(search, "_can_hit", recording_prune)
+        assert bounded_minimality_search(TargetSet((4, 3)), 5, budget) == whole
         assert sizes and max(sizes) <= 256
+        assert pruned and max(pruned) <= 256
+
+    @pytest.mark.parametrize("c_size,d_size,examined,dedup", [(5, 2, 64, 0.828125), (3, 5, 16, 0.6875)])
+    def test_edge_size_above_n(self, c_size, d_size, examined, dedup):
+        # that side has no subsets: one empty mask, which kills nothing
+        budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size)
+        report = bounded_minimality_search(TargetSet((4, 2)), 4, budget)
+        assert report == SearchReport(Outcome.EXHAUSTED, None, examined, dedup)
 
     def test_witness_at_the_formula_size_for_4_3(self):
         # delta({4,3}) = 4 and the variant-two instance is (3,2)-uniform,
@@ -371,3 +389,56 @@ class TestKillMasks:
             edges = np.bitwise_count(flats)
             expected = [len(np.unique(keys[edges == m])) for m in range(len(c_subsets) + len(d_subsets) + 1)]
             assert class_counts(n, c_subsets, d_subsets) == expected, (c_size, d_size)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_kill_tables_match_the_definition(self, n):
+        parts = list(all_restricted_growth_strings(n))
+
+        def bits(row):
+            return np.unpackbits(row.view(np.uint8), bitorder="little")[: len(parts)].astype(bool).tolist()
+
+        for size in range(2, n + 2):  # n + 1 has no subsets
+            subsets = edge_subsets(n, size)
+            kill_c, kill_d, blocks = _kill_tables(n, subsets, subsets)
+            assert len(kill_c) == len(kill_d) == 1 << len(subsets)
+            for i, s in enumerate(subsets):
+                labels = [len({p[v] for v in s}) for p in parts]
+                assert bits(kill_c[1 << i]) == [count == size for count in labels], s
+                assert bits(kill_d[1 << i]) == [count == 1 for count in labels], s
+            assert [bits(row) for row in blocks] == [[max(p) + 1 == k for p in parts] for k in range(1, n + 1)]
+
+
+def as_int(row):
+    """A packed partition bitset as one int, bit ``j`` for partition ``j``."""
+    return int.from_bytes(row.tobytes(), "little")
+
+
+class TestPrune:
+    def test_drops_exactly_the_masks_that_cannot_hit(self):
+        # over test_matches_the_layer_scan's grid at n <= 4: each side's prune
+        # keeps a mask exactly when it spares a partition of every wanted
+        # block count and the other side can kill every unwanted partition it
+        # spares, and no dropped mask has a hit in the unpruned table
+        dropped_by = Counter()
+        for n in (2, 3, 4):
+            sizes = [(3, 2), (2, 3), (2, 2), (3, 3), (4, 2)]
+            targets = [v for r in (2, 3) for v in itertools.combinations(range(2, n + 1), r)]
+            for (c_size, d_size), values in itertools.product(sizes, targets):
+                kill_c, kill_d, blocks = _kill_tables(n, edge_subsets(n, c_size), edge_subsets(n, d_size))
+                want = np.isin(np.arange(1, n + 1), values)
+                kills, _ = _distinct_rows(kill_c)
+                hits = _hits(kills, kill_d, blocks, want)
+                block_bits = [as_int(row) for row in blocks]
+                spares = sum(block_bits)  # every partition
+                unwanted = sum(bits for k, bits in enumerate(block_bits, start=1) if k not in values)
+                for rows, other_all, hit in ((kills, kill_d[-1], hits.any(axis=1)), (kill_d, kill_c[-1], hits.any(axis=0))):
+                    can = _can_hit(rows, other_all, blocks, want)
+                    assert not (hit & ~can).any(), (n, c_size, d_size, values)
+                    for row, kept in zip(rows, can.tolist()):
+                        spared = spares & ~as_int(row)
+                        a = all(spared & block_bits[k - 1] for k in values)
+                        b = not spared & unwanted & ~as_int(other_all)
+                        assert kept == (a and b), (n, c_size, d_size, values)
+                        dropped_by["a"] += b and not a
+                        dropped_by["b"] += a and not b
+        assert dropped_by["a"] and dropped_by["b"], dropped_by
