@@ -16,12 +16,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Edge, MixedHypergraph
+from .core import MixedHypergraph
 
 FeasibleSet = tuple[int, ...]
 
@@ -224,7 +223,9 @@ def _partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
 # vertex joins a block holding a frontier vertex, or one of the ``k - a``
 # blocks holding none (``a`` frontier blocks; these blocks are alike for every
 # edge still to close), or opens a new one.  Edges are checked when their
-# last vertex is placed.  The cost grows with n times the number of frontier
+# last vertex is placed: one pass over the edges files each under that step,
+# with its other members, and a state's blocks the new vertex may join are
+# the bits of one int.  The cost grows with n times the number of frontier
 # states, not with the number of feasible partitions.
 
 
@@ -256,63 +257,96 @@ def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[in
     """``counts[k]``: the feasible partitions of ``h`` with ``k`` blocks, for
     ``k = 0..n``, by the frontier programme along ``order``; ``near`` is
     ``_neighbourhoods(h)``."""
-    step = [0] * len(order)
+    n = len(order)
+    step = [0] * n
     for i, v in enumerate(order):
         step[v] = i
-    # the step after which each vertex leaves the frontier: its last neighbour's
-    leave = [max(map(step.__getitem__, vs)) for vs in near]
-    closing: list[list[tuple[bool, Edge]]] = [[] for _ in order]  # edges by last step
-    for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
+    # from here on a vertex goes by its step; ``leave[i]``: the step after
+    # which step i's vertex leaves the frontier, its last neighbour's
+    leave = [max(map(step.__getitem__, near[v])) for v in order]
+    # one pass over the edges: each goes to the step that places its last
+    # member, as the steps of its other members
+    c_closing: list[list[Sequence[int]]] = [[] for _ in range(n)]
+    d_closing: list[list[Sequence[int]]] = [[] for _ in range(n)]
+    in_id_order = step == list(range(n))  # then an edge's members are its steps, ascending
+    for closing, edges in ((c_closing, h.c_edges), (d_closing, h.d_edges)):
         for e in edges:
-            closing[max(map(step.__getitem__, e))].append((is_c, e))
-    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
-    frontier: list[int] = []
-    for i, v in enumerate(order):
-        slot = {u: j for j, u in enumerate(frontier)}
-        # a pair names one block v must join (C) or avoid (D); a longer edge
-        # is tested on the blocks of its other members
-        same, differ, checks = [], [], []
-        for is_c, e in closing[i]:
-            slots = [slot[u] for u in e if u != v]
-            if len(slots) > 1:
-                checks.append((is_c, itemgetter(*slots), len(slots)))
+            if in_id_order:
+                closing[e[-1]].append(e[:-1])
             else:
-                (same if is_c else differ).append(slots[0])
-        kept = [j for j, u in enumerate(frontier) if leave[u] > i]
+                others = sorted(map(step.__getitem__, e))
+                closing[others.pop()].append(others)
+    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    frontier: list[int] = []  # the open steps, in order
+    slot = list(range(n))  # each open step's position in the frontier labels
+    for i in range(n):
+        # a pair names one block the new vertex must join (C) or avoid (D), a
+        # triple two blocks compared with each other; a longer edge is tested
+        # on the set of its other members' blocks
+        whole = len(frontier) == i  # every earlier step is open: slots are steps
+        same, c_pairs, c_longer = [], [], []
+        for others in c_closing[i]:
+            js = others if whole else [slot[t] for t in others]
+            (same if len(js) == 1 else c_pairs if len(js) == 2 else c_longer).append(js)
+        differ, d_pairs, d_longer = [], [], []
+        for others in d_closing[i]:
+            js = others if whole else [slot[t] for t in others]
+            (differ if len(js) == 1 else d_pairs if len(js) == 2 else d_longer).append(js)
+        kept = [j for j, t in enumerate(frontier) if leave[t] > i]
         drops = len(kept) < len(frontier)
-        stays = leave[v] > i
-        frontier = [frontier[j] for j in kept] + [v] * stays
+        stays = leave[i] > i
+        if drops:
+            frontier = [frontier[j] for j in kept]
+            for j, t in enumerate(frontier):
+                slot[t] = j
+        if stays:
+            slot[i] = len(frontier)
+            frontier.append(i)
         nxt: dict[tuple[tuple[int, ...], int], int] = defaultdict(int)
         for (labels, k), count in states.items():
             a = max(labels, default=-1) + 1
-            joins = set(range(a))  # frontier blocks v may join
-            joins.difference_update(map(labels.__getitem__, differ))
-            for j in same:
-                joins &= {labels[j]}
-            fresh = not same  # whether v may take a block without frontier vertices
-            for is_c, get, size in checks:
-                seen = set(get(labels))
-                if is_c:
-                    if len(seen) == size:  # rainbow so far: v must repeat one
-                        joins &= seen
-                        fresh = False
-                elif len(seen) == 1:  # monochromatic so far: v must differ
-                    joins -= seen
+            allowed = (1 << a) - 1  # bit x: the new vertex may join frontier block x
+            for (j,) in differ:
+                allowed &= ~(1 << labels[j])
+            for (j,) in same:
+                allowed &= 1 << labels[j]
+            fresh = not same  # whether it may take a block without frontier vertices
+            for j, l in c_pairs:
+                x, y = labels[j], labels[l]
+                if x != y:  # rainbow so far: the new vertex must repeat one
+                    allowed &= 1 << x | 1 << y
+                    fresh = False
+            for j, l in d_pairs:
+                x = labels[j]
+                if x == labels[l]:  # monochromatic so far: the new vertex must differ
+                    allowed &= ~(1 << x)
+            for js in c_longer:
+                seen = {labels[j] for j in js}
+                if len(seen) == len(js):
+                    allowed &= sum(1 << x for x in seen)
+                    fresh = False
+            for js in d_longer:
+                seen = {labels[j] for j in js}
+                if len(seen) == 1:
+                    allowed &= ~(1 << seen.pop())
             base, new = labels, a  # the frontier labels after the step, the next unused label
             if drops:  # renumber by first occurrence
                 first: dict[int, int] = {}
                 base = tuple([first.setdefault(labels[j], len(first)) for j in kept])
                 new = len(first)
-            if not stays:  # v is forgotten: every block it may join leads to one state
-                ways = len(joins) + (k - a if fresh else 0)
+            if not stays:  # the new vertex is forgotten: every block it may join leads to one state
+                ways = allowed.bit_count() + (k - a if fresh else 0)
                 if ways:
                     nxt[base, k] += count * ways
                 if fresh:
                     nxt[base, k + 1] += count
                 continue
-            # a block whose frontier vertices all left takes the next unused label
-            for x in [first.get(x, new) for x in joins] if drops else joins:
-                nxt[base + (x,), k] += count
+            while allowed:  # the set bits, lowest first
+                low = allowed & -allowed
+                allowed ^= low
+                x = low.bit_length() - 1
+                # a block whose frontier vertices all left takes the next unused label
+                nxt[base + (first.get(x, new) if drops else x,), k] += count
             if fresh:
                 if k > a:
                     nxt[base + (new,), k] += count * (k - a)

@@ -21,6 +21,9 @@ from .coloring import Partition, is_gap_free
 # takes well under a second, and its edge masks O(n^2 * s) memory; the library
 # functions themselves take any size.
 VERTEX_CAP = 256
+# 64-bit words in one working array of the C-edge test (512 KiB): chunks of
+# 2^14-2^16 words ran fastest on {129,2}, 2^20 a third slower
+_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,24 +84,48 @@ def construction_labels(ts: TargetSet) -> list[Label]:
     return labels
 
 
+def _agreement_words(labels: list[Label]) -> tuple[np.ndarray, np.ndarray]:
+    """``words[w, i, j]``: bits ``64*w .. 64*w + 63`` of the coordinates at
+    which labels ``i`` and ``j`` agree, and ``full``, the same words with
+    every coordinate set."""
+    lab = np.array(labels)
+    n, s = lab.shape
+    width = 8 * -(-s // 64)  # bytes, whole words
+    words = np.zeros((n, n, width), dtype=np.uint8)
+    words[:, :, : -(-s // 8)] = np.packbits(lab[:, None] == lab[None], axis=2, bitorder="little")
+    full = np.zeros(width, dtype=np.uint8)
+    full[: -(-s // 8)] = np.packbits(np.ones(s, dtype=bool), bitorder="little")
+    return np.ascontiguousarray(words.view("<u8").transpose(2, 0, 1)), full.view("<u8")
+
+
 def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]:
     """C-edges: the vertex triples whose labels take exactly two distinct
     values at every coordinate.  D-edges: the pairs whose labels differ at
-    every coordinate.  Both are read off numpy masks of coordinate-wise label
-    equality, the triples one first vertex at a time so that memory stays
-    O(n^2 * s); ``argwhere`` yields them in lexicographic order."""
+    every coordinate.  Both are read off the packed agreement words of
+    ``_agreement_words``, the triples a chunk of first vertices at a time,
+    with every working array within ``_ENTRIES`` words; ``argwhere`` yields
+    them in lexicographic order."""
     n = len(labels)
-    lab = np.array(labels)
-    eq = lab[:, None] == lab[None, :]  # eq[i, j, t]: labels i and j agree at t
+    agree, full = _agreement_words(labels)
     idx = np.arange(n)
     upper = idx[:, None] < idx[None, :]
-    c_edges = []
-    for i in range(n - 2):
-        ij, ik = eq[i, i + 1 :, None], eq[i, None, i + 1 :]
-        # at every coordinate some two of i, j, k agree, but not all three
-        two = ((eq[i + 1 :, i + 1 :] | ij | ik) & ~(ij & ik)).all(axis=2) & upper[i + 1 :, i + 1 :]
-        c_edges += [[i, i + 1 + j, i + 1 + k] for j, k in np.argwhere(two).tolist()]
-    return c_edges, np.argwhere(upper & ~eq.any(axis=2)).tolist()
+    c_edges: list[list[int]] = []
+    at = 0
+    while at < n - 2:
+        # first vertices at..stop-1, and j and k beyond at: m vertices
+        m = n - at - 1
+        stop = min(n - 2, at + max(1, _ENTRIES // (m * m)))
+        ok = (idx[: stop - at, None] <= idx[:m])[:, :, None] & upper[at + 1 :, at + 1 :]  # i < j < k
+        for a, f in zip(agree, full):
+            ij = a[at:stop, at + 1 :]
+            # labels take two values at a coordinate exactly when one of ij
+            # and ik agrees there, or jk agrees there and so not ij (nor ik)
+            two = ij[:, :, None] ^ ij[:, None, :]
+            two |= a[at + 1 :, at + 1 :] & ~ij[:, :, None]
+            ok &= two == f
+        c_edges += (np.argwhere(ok) + (at, at + 1, at + 1)).tolist()
+        at = stop
+    return c_edges, np.argwhere(upper & ~agree.any(axis=0)).tolist()
 
 
 def _variant_labels(ts: TargetSet, which: str) -> list[Label]:

@@ -3,12 +3,12 @@
 The search covers every hypergraph on ``n`` vertices whose C-edges all have
 one fixed size and whose D-edges all have another, ordered by edge count and
 then by flat id, and reports the first one-realization of the target set in
-that order.  It decides with partition bitsets (see ``_kill_tables``): C-masks
-with equal kill masks are merged, and the D-masks are walked in chunks, each
-tested against every distinct C kill mask at once (``_hits``), so an
-exhausted space needs no candidate order at all.  Edges only remove
-partitions, so before that test each side drops the kill masks that cannot
-be part of any hit (``_can_hit``).  The witness is read off that one pass.
+that order.  It decides with partition bitsets (see ``_kill_tables``).  Edges
+only remove partitions, so each side first drops the kill masks that cannot
+be part of any hit (``_can_hit``); the C-masks left with equal kill masks are
+merged, and the D-masks are walked in chunks, each tested against every
+distinct C kill mask left at once (``_hits``), so an exhausted space needs no
+candidate order at all.  The witness is read off that one pass.
 Isomorphism classes are counted per edge count by Polya's theorem
 (``class_counts``); only in the layer of a witness, up to the witness, are
 they told apart by a canonical form (the smallest id in the candidate's
@@ -289,10 +289,20 @@ def _can_hit(kills: np.ndarray, other_all: np.ndarray, blocks: np.ndarray, want:
     spares for each wanted block count, and ``other_all`` must kill every
     unwanted partition that ``kills`` spares."""
     spared = ~kills
-    can = ~(spared & np.bitwise_or.reduce(blocks[~want]) & ~other_all).any(axis=1)
+    can = ~_any_bit(spared & (np.bitwise_or.reduce(blocks[~want]) & ~other_all))
     for row in blocks[want]:
-        can &= (spared & row).any(axis=1)
+        can &= _any_bit(spared & row)
     return can
+
+
+def _any_bit(words: np.ndarray) -> np.ndarray:
+    """Whether each row of packed words has a set bit.  The words are ORed
+    column by column, about twice as fast as ``any`` along the short word
+    axis on the 2^20 C kill rows of n=6."""
+    acc = words[:, 0]
+    for col in words.T[1:]:
+        acc = acc | col
+    return acc != 0
 
 
 def _hits(kills: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -359,20 +369,19 @@ def bounded_minimality_search(
         return exhausted
     kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
     want = np.isin(np.arange(1, n + 1), ts.values)
-    # C-masks with equal kill masks hit with the same D-masks
-    kills, row_of = _distinct_rows(kill_c)
     # only the C and D kill masks that can be part of a hit meet in _hits
-    rows = max(1, _ENTRIES // kills.shape[1])
+    rows = max(1, _ENTRIES // kill_c.shape[1])
     live = np.flatnonzero(np.concatenate(
-        [_can_hit(kills[at : at + rows], kill_d[-1], blocks, want) for at in range(0, len(kills), rows)]
+        [_can_hit(kill_c[at : at + rows], kill_d[-1], blocks, want) for at in range(0, len(kill_c), rows)]
     ))
     if not live.size:
         return exhausted
-    survivors = kills[live]
+    # live C-masks with equal kill masks hit with the same D-masks
+    survivors, row_of = _distinct_rows(kill_c[live])
     # D-masks by edge count, then mask: a kill mask's first hit in this order
     # has the fewest D-edges, and position 1 << nd stands for no hit
     d_order = np.argsort(np.bitwise_count(np.arange(1 << nd)), kind="stable")
-    found = np.full(len(live), 1 << nd)
+    found = np.full(len(survivors), 1 << nd)
     step = max(1, _ENTRIES // survivors.size)
     for at in range(0, 1 << nd, step):
         chunk = kill_d[d_order[at : at + step]]
@@ -380,17 +389,17 @@ def bounded_minimality_search(
         if cols.size:
             hit = _hits(survivors, chunk[cols], blocks, want)
             np.minimum(found, np.where(hit.any(axis=1), at + cols[hit.argmax(axis=1)], 1 << nd), out=found)
-    first = np.full(len(kills), 1 << nd)
-    first[live] = found
+    first = np.full(1 << nc, 1 << nd)  # each C-mask's first hit
+    first[live] = found[row_of]
 
     # the first hit: fewest edges, then the smallest C-mask, then D-mask
     d_edges = np.append(np.bitwise_count(d_order), nc + nd + 1)
-    edges = np.bitwise_count(np.arange(1 << nc)) + d_edges[first[row_of]]
+    edges = np.bitwise_count(np.arange(1 << nc)) + d_edges[first]
     mask_c = int(edges.argmin())
     m = int(edges[mask_c])
     if m > nc + nd:
         return exhausted
-    mask_d = int(d_order[first[row_of[mask_c]]])
+    mask_d = int(d_order[first[mask_c]])
     layer = _layer_until(mask_c << nd | mask_d, nd)
     examined = sum(comb(nc + nd, j) for j in range(m)) + len(layer)
     # isomorphic candidates have equal edge counts: every class of the layers

@@ -4,20 +4,25 @@ Nothing here shares code paths with the library's pruned enumeration: the
 partition generator spells out every restricted-growth string, and the
 spectrum oracle filters them with the definitional properness check.  The
 layer-scan minimality search spectrum-tests every candidate in order and
-shares only its unchanged helpers with the pair-table search it checks.
+shares only its unchanged helpers with the pair-table search it checks.  The
+dict frontier programme is the counting engine as it was before its one-pass
+edge plan and bitmask states, kept as the reference for that engine on
+instances too large for brute force.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cache
 from itertools import permutations
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from mixedhg import MixedHypergraph, Partition, is_proper
+from mixedhg.core import Edge
 from mixedhg.constructions import TargetSet
 from mixedhg.search import (
     Outcome,
@@ -86,6 +91,83 @@ def restrict_partition(p: Partition, keep: set[int]) -> Partition:
     for v in kept:
         blocks.setdefault(p.assignment[v], []).append(pos[v])
     return Partition.from_blocks(blocks.values())
+
+
+# --- the dict frontier programme ---------------------------------------------
+
+
+def dict_frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[int]]) -> list[int]:
+    """``counts[k]``: the feasible partitions of ``h`` with ``k`` blocks, for
+    ``k = 0..n``, by the frontier programme along ``order``; ``near`` is
+    ``_neighbourhoods(h)``.  Each step maps the frontier to slots through a
+    dict, tests each closing edge on a set of its other members' blocks, and
+    keeps the blocks a vertex may join as a set."""
+    step = [0] * len(order)
+    for i, v in enumerate(order):
+        step[v] = i
+    # the step after which each vertex leaves the frontier: its last neighbour's
+    leave = [max(map(step.__getitem__, vs)) for vs in near]
+    closing: list[list[tuple[bool, Edge]]] = [[] for _ in order]  # edges by last step
+    for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
+        for e in edges:
+            closing[max(map(step.__getitem__, e))].append((is_c, e))
+    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    frontier: list[int] = []
+    for i, v in enumerate(order):
+        slot = {u: j for j, u in enumerate(frontier)}
+        # a pair names one block v must join (C) or avoid (D); a longer edge
+        # is tested on the blocks of its other members
+        same, differ, checks = [], [], []
+        for is_c, e in closing[i]:
+            slots = [slot[u] for u in e if u != v]
+            if len(slots) > 1:
+                checks.append((is_c, itemgetter(*slots), len(slots)))
+            else:
+                (same if is_c else differ).append(slots[0])
+        kept = [j for j, u in enumerate(frontier) if leave[u] > i]
+        drops = len(kept) < len(frontier)
+        stays = leave[v] > i
+        frontier = [frontier[j] for j in kept] + [v] * stays
+        nxt: dict[tuple[tuple[int, ...], int], int] = defaultdict(int)
+        for (labels, k), count in states.items():
+            a = max(labels, default=-1) + 1
+            joins = set(range(a))  # frontier blocks v may join
+            joins.difference_update(map(labels.__getitem__, differ))
+            for j in same:
+                joins &= {labels[j]}
+            fresh = not same  # whether v may take a block without frontier vertices
+            for is_c, get, size in checks:
+                seen = set(get(labels))
+                if is_c:
+                    if len(seen) == size:  # rainbow so far: v must repeat one
+                        joins &= seen
+                        fresh = False
+                elif len(seen) == 1:  # monochromatic so far: v must differ
+                    joins -= seen
+            base, new = labels, a  # the frontier labels after the step, the next unused label
+            if drops:  # renumber by first occurrence
+                first: dict[int, int] = {}
+                base = tuple([first.setdefault(labels[j], len(first)) for j in kept])
+                new = len(first)
+            if not stays:  # v is forgotten: every block it may join leads to one state
+                ways = len(joins) + (k - a if fresh else 0)
+                if ways:
+                    nxt[base, k] += count * ways
+                if fresh:
+                    nxt[base, k + 1] += count
+                continue
+            # a block whose frontier vertices all left takes the next unused label
+            for x in [first.get(x, new) for x in joins] if drops else joins:
+                nxt[base + (x,), k] += count
+            if fresh:
+                if k > a:
+                    nxt[base + (new,), k] += count * (k - a)
+                nxt[base + (new,), k + 1] += count
+        states = nxt
+    counts = [0] * (h.n + 1)
+    for (_, k), count in states.items():
+        counts[k] = count
+    return counts
 
 
 # --- the layer-scan minimality search ----------------------------------------

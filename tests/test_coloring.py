@@ -26,6 +26,7 @@ from mixedhg import (
     has_gap_at,
     is_gap_free,
     is_proper,
+    smallest_one_realization,
 )
 
 from mixedhg import coloring
@@ -35,7 +36,7 @@ from mixedhg.coloring import (
     _neighbourhoods,
 )
 
-from _oracles import brute_force_partitions, brute_force_spectrum, stirling_second
+from _oracles import brute_force_partitions, brute_force_spectrum, dict_frontier_counts, stirling_second
 
 
 @pytest.fixture
@@ -217,6 +218,24 @@ class TestFrontierCounts:
             expected = _frontier_counts(h, range(h.n), near)
             assert _frontier_counts(h, _greedy_order(near), near) == expected
             assert _frontier_counts(h, shuffled, near) == expected
+
+    def test_matches_the_dict_programme(self):
+        # the set-based programme of _oracles as the reference: sparse
+        # instances along the greedy order and a shuffled one (so vertices
+        # leave the frontier mid-way), an edgeless instance out of brute
+        # force's reach, and every construction of the paper's target sets
+        rng = random.Random(2011)
+        for h in [sparse_instance(seed) for seed in range(16)] + [MixedHypergraph(25, [], [])]:
+            near = _neighbourhoods(h)
+            shuffled = list(range(h.n))
+            rng.shuffle(shuffled)
+            for order in (_greedy_order(near), shuffled):
+                assert _frontier_counts(h, order, near) == dict_frontier_counts(h, order, near)
+        for values in (v for size in range(2, 6) for v in itertools.combinations(range(2, 13), size)):
+            h = smallest_one_realization(TargetSet(values))
+            near = _neighbourhoods(h)
+            order = _greedy_order(near)
+            assert _frontier_counts(h, order, near) == dict_frontier_counts(h, order, near), values
 
     def test_counting_runs_along_the_greedy_order(self, monkeypatch):
         # a path numbered from both ends: id order keeps half the path open,

@@ -124,6 +124,22 @@ def test_label_masks_match_the_filters_on_random_labels():
         labels = [tuple(rng.randint(1, 3) for _ in range(s)) for _ in range(rng.randint(3, 12))]
         c_edges, d_edges = _label_edges(labels)
         assert (list(map(tuple, c_edges)), list(map(tuple, d_edges))) == filtered_edges(labels), labels
+    # labels across the 64-bit word boundary of the agreement words: each
+    # coordinate copies one of a few random columns, or now and then takes
+    # fresh values, so that C-triples stay common at any label length
+    found = 0
+    for s in (63, 64, 65, 129):
+        for _ in range(25):
+            n = rng.randint(3, 12)
+            base = [[rng.randint(1, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            columns = [
+                [rng.randint(1, 3) for _ in range(n)] if rng.random() < 0.05 else rng.choice(base) for _ in range(s)
+            ]
+            labels = [tuple(column[v] for column in columns) for v in range(n)]
+            c_edges, d_edges = _label_edges(labels)
+            assert (list(map(tuple, c_edges)), list(map(tuple, d_edges))) == filtered_edges(labels), (s, labels)
+            found += bool(c_edges) and bool(d_edges)
+    assert found >= 20, found
 
 
 PAPER_SETS = [values for size in range(2, 6) for values in combinations(range(2, 13), size)]
