@@ -268,7 +268,9 @@ def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[in
     # member, as the steps of its other members
     c_closing: list[list[Sequence[int]]] = [[] for _ in range(n)]
     d_closing: list[list[Sequence[int]]] = [[] for _ in range(n)]
-    in_id_order = step == list(range(n))  # then an edge's members are its steps, ascending
+    # along id order an edge's members are its steps, ascending; every paper
+    # construction (a complete primal graph) is counted along id order
+    in_id_order = step == list(range(n))
     for closing, edges in ((c_closing, h.c_edges), (d_closing, h.d_edges)):
         for e in edges:
             if in_id_order:

@@ -102,9 +102,11 @@ def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]
     """C-edges: the vertex triples whose labels take exactly two distinct
     values at every coordinate.  D-edges: the pairs whose labels differ at
     every coordinate.  Both are read off the packed agreement words of
-    ``_agreement_words``, the triples a chunk of first vertices at a time,
-    with every working array within ``_ENTRIES`` words; ``argwhere`` yields
-    them in lexicographic order."""
+    ``_agreement_words``, the triples a chunk of first vertices at a time:
+    as many as keep the triple test's arrays within ``_ENTRIES`` entries, and
+    at least one, whose arrays are m x m for its m later vertices (larger
+    than ``_ENTRIES`` from 258 vertices on).  ``argwhere`` yields them in
+    lexicographic order."""
     n = len(labels)
     agree, full = _agreement_words(labels)
     idx = np.arange(n)
