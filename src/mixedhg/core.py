@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, pairwise, starmap
+from operator import lt
 from typing import Iterable, Optional
 
 Edge = tuple[int, ...]
@@ -15,22 +16,38 @@ Label = tuple[int, ...]
 ISO_VERTEX_CAP = 12
 
 
+def _first_bad_edge(rows: list[tuple], n: int, kind: str) -> Optional[str]:
+    """The error of the first edge in ``rows`` with a vertex that is not an
+    int in ``0..n-1`` or with fewer than two distinct vertices, if any."""
+    for raw in rows:
+        for v in raw:
+            if type(v) is not int or not 0 <= v < n:
+                return f"{kind}-edge {list(raw)}: vertex {v!r} out of range 0..{n - 1}"
+        members = sorted(set(raw))
+        if len(members) < 2:
+            return f"{kind}-edge {members}: an edge needs at least two vertices"
+    return None
+
+
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, kind: str) -> tuple[Edge, ...]:
-    """Deduplicate, sort, and range-check an edge family."""
-    out: set[Edge] = set()
+    """Deduplicate, sort, and range-check an edge family.
+
+    Every vertex is checked in bulk (exact ints, no bools, in range), and a
+    family that is already canonical, each edge and the family strictly
+    increasing, comes back as it is.  Only a family that fails a check is
+    walked edge by edge, for its first error."""
+    rows: list[tuple] = []
     try:
-        for raw in edges:
-            raw = tuple(raw)  # exact ints, no bools; checked before dedup folds True into 1
-            for v in raw:
-                if type(v) is not int or not 0 <= v < n:
-                    raise ValueError(f"{kind}-edge {list(raw)}: vertex {v!r} out of range 0..{n - 1}")
-            members = sorted(set(raw))
-            if len(members) < 2:
-                raise ValueError(f"{kind}-edge {members}: an edge needs at least two vertices")
-            out.add(tuple(members))
+        rows.extend(map(tuple, edges))  # keeps the rows before a non-iterable edge
     except TypeError:  # the family or one of its edges is not iterable
-        raise ValueError(f"{kind}-edges must be a list of vertex lists") from None
-    return tuple(sorted(out))
+        raise ValueError(_first_bad_edge(rows, n, kind) or f"{kind}-edges must be a list of vertex lists") from None
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) < n):
+        canonical = all(map(lt, rows, rows[1:])) and all(starmap(lt, chain.from_iterable(map(pairwise, rows))))
+        out = rows if canonical else sorted({tuple(sorted(set(raw))) for raw in rows})
+        if min(map(len, out), default=2) >= 2:
+            return tuple(out)
+    raise ValueError(_first_bad_edge(rows, n, kind))
 
 
 @dataclass(frozen=True)

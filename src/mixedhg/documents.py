@@ -53,10 +53,11 @@ def from_document(doc: Any) -> MixedHypergraph:
 
 
 def _row_list(rows: list[list[int]]) -> str:
+    """One row per line: the rows hold only ints, so every ``"], ["`` in their
+    one-line JSON is a boundary between two rows."""
     if not rows:
         return "[]"
-    inner = ",\n".join("    [" + ", ".join(map(str, row)) + "]" for row in rows)
-    return "[\n" + inner + "\n  ]"
+    return "[\n    " + json.dumps(rows)[1:-1].replace("], [", "],\n    [") + "\n  ]"
 
 
 def dumps(h: MixedHypergraph) -> str:

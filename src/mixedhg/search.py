@@ -12,9 +12,15 @@ candidate order at all.  The witness is read off that one pass.
 Isomorphism classes are counted per edge count by Polya's theorem
 (``class_counts``); only in the layer of a witness, up to the witness, are
 they told apart by a canonical form (the smallest id in the candidate's
-isomorphism class).  The uniform edge sizes and the small vertex
-cap make this evidence about minimality, not a proof: a non-uniform or
-larger hypergraph is never examined.
+isomorphism class).  Only the hit tests depend on the target set, so
+what depends on ``n`` alone is built once per process and shared by every
+search: the Bell(n) partitions, every vertex subset's rainbow and
+monochromatic partition masks and the block-count rows
+(``_partition_masks``, 6.6 KiB at n=6); so are the class counts, per ``n``
+and pair of edge sizes.  The kill tables ORed from those masks are built per
+search.  The uniform edge sizes and the small vertex cap make this evidence
+about minimality, not a proof: a non-uniform or larger hypergraph is never
+examined.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import MixedHypergraph
+from .core import Edge, MixedHypergraph
 from .coloring import Spectrum, _partition_rows, chromatic_spectrum, feasible_set
 from .constructions import TargetSet, minimum_size, smallest_one_realization
 
@@ -134,10 +141,15 @@ def _or_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
+def _bitmasks(subsets: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """Each vertex subset as its vertex bitmask."""
+    return np.array([sum(1 << v for v in s) for s in subsets], dtype=np.int64)
+
+
 def _images(n: int, subsets: list[tuple[int, ...]], perms: np.ndarray) -> np.ndarray:
     """``images[i, p]``: the index that vertex permutation ``perms[p]`` moves
     subset ``i`` to, found through a lookup from vertex bitmask to index."""
-    masks = np.array([sum(1 << v for v in s) for s in subsets], dtype=np.int64)
+    masks = _bitmasks(subsets)
     index = np.zeros(1 << n, dtype=np.int64)
     index[masks] = np.arange(len(subsets))
     return index[(masks[:, None] >> np.arange(n) & 1) @ (1 << perms.T)]
@@ -182,7 +194,14 @@ def canonical_keys(
 
 
 def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> list[int]:
-    """``classes[m]``: the isomorphism classes of candidates with ``m`` edges.
+    """``classes[m]``: the isomorphism classes of candidates with ``m`` edges,
+    computed once per ``(n, subsets)`` and returned as a new list."""
+    return list(_class_counts(n, tuple(map(tuple, c_subsets)), tuple(map(tuple, d_subsets))))
+
+
+@cache
+def _class_counts(n: int, c_subsets: tuple[Edge, ...], d_subsets: tuple[Edge, ...]) -> tuple[int, ...]:
+    """``class_counts`` for hashable subset lists.
 
     By Polya's counting theorem, the mean over vertex permutations of the
     coefficients of the product of ``1 + x^len`` over the permutation's
@@ -215,7 +234,7 @@ def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple
                     for m in range(len(poly) - 1, length - 1, -1):
                         poly[m] += poly[m - length]
         fixed = [f + weight * p for f, p in zip(fixed, poly)]
-    return [f // factorial(n) for f in fixed]
+    return tuple(f // factorial(n) for f in fixed)
 
 
 def hypergraph_from_masks(
@@ -239,15 +258,15 @@ def hypergraph_from_masks(
 # its feasible bits per block count.
 
 
-def _kill_tables(
-    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition bitsets for the candidate space on ``n`` vertices.
+@cache
+def _partition_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Partition bitsets on ``n`` vertices, built once per ``n`` and read-only.
 
     Bit ``j`` of a row stands for the ``j``-th restricted-growth partition.
-    Returns the kill masks ORed over every C-mask, the same over every D-mask,
-    and one row per block count ``k = 1..n`` holding the partitions with
-    ``k`` blocks.
+    Returns the Bell(n) restricted-growth rows; for every vertex subset,
+    indexed by its vertex bitmask, the partitions in which it is rainbow and
+    those in which it is monochromatic; and one row per block count
+    ``k = 1..n`` holding the partitions with ``k`` blocks.
     """
     parts = _partition_rows(MixedHypergraph(n, [], []))
     words = -(-len(parts) // 64)
@@ -258,16 +277,29 @@ def _kill_tables(
         rows[:, : len(parts)] = bits.T
         return np.packbits(rows, axis=1, bitorder="little").view("<u8")
 
-    def steps(subsets: list[tuple[int, ...]]) -> np.ndarray:
-        """``steps[j, i, t]``: partition ``j`` puts the ``t``-th and next
-        smallest labels of subset ``i`` in different blocks."""
-        members = np.array(subsets or np.zeros((0, 0)), dtype=np.intp)  # an edge size above n has no subsets
-        return np.diff(np.sort(parts[:, members], axis=2), axis=2) != 0
-
-    kill_c = pack(steps(c_subsets).all(axis=2))
-    kill_d = pack(~steps(d_subsets).any(axis=2))
+    # met[s, j]: the blocks of partition j that vertex subset s meets
+    met = np.bitwise_count(_or_table(1 << parts.T.astype(np.int64)))
+    size = np.bitwise_count(np.arange(1 << n))[:, None]
+    rainbow, mono = pack((met == size).T), pack((met <= 1).T)
     blocks = pack(parts.max(axis=1)[:, None] + 1 == np.arange(1, n + 1))
-    return _or_table(kill_c), _or_table(kill_d), blocks
+    for table in (parts, rainbow, mono, blocks):
+        table.flags.writeable = False
+    return parts, rainbow, mono, blocks
+
+
+def _kill_tables(
+    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition bitsets for the candidate space on ``n`` vertices.
+
+    Returns the kill masks ORed over every C-mask (a C-edge kills the
+    partitions in which it is rainbow), the same over every D-mask (a D-edge
+    kills those in which it is monochromatic), and ``_partition_masks``'
+    block-count rows.  The OR tables are built per call: at n=6 a C table
+    can hold 32 MiB.
+    """
+    _, rainbow, mono, blocks = _partition_masks(n)
+    return _or_table(rainbow[_bitmasks(c_subsets)]), _or_table(mono[_bitmasks(d_subsets)]), blocks
 
 
 def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,11 +7,14 @@ layer-scan minimality search spectrum-tests every candidate in order and
 shares only its unchanged helpers with the pair-table search it checks.  The
 dict frontier programme is the counting engine as it was before its one-pass
 edge plan and bitmask states, kept as the reference for that engine on
-instances too large for brute force.
+instances too large for brute force.  The per-edge validation loop and the
+per-row document renderer are the core and document code as they were
+before their bulk checks and one-call rendering.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter, defaultdict
 from functools import cache
 from itertools import permutations
@@ -24,6 +27,7 @@ import numpy as np
 from mixedhg import MixedHypergraph, Partition, is_proper
 from mixedhg.core import Edge
 from mixedhg.constructions import TargetSet
+from mixedhg.documents import to_document
 from mixedhg.search import (
     Outcome,
     SearchBudget,
@@ -172,6 +176,42 @@ def dict_frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[se
 
 # --- the layer-scan minimality search ----------------------------------------
 #
+def per_edge_canonical_edges(edges: Iterable[Iterable[int]], n: int, kind: str) -> tuple[Edge, ...]:
+    """Deduplicate, sort, and range-check an edge family, vertex by vertex."""
+    out: set[Edge] = set()
+    try:
+        for raw in edges:
+            raw = tuple(raw)  # exact ints, no bools; checked before dedup folds True into 1
+            for v in raw:
+                if type(v) is not int or not 0 <= v < n:
+                    raise ValueError(f"{kind}-edge {list(raw)}: vertex {v!r} out of range 0..{n - 1}")
+            members = sorted(set(raw))
+            if len(members) < 2:
+                raise ValueError(f"{kind}-edge {members}: an edge needs at least two vertices")
+            out.add(tuple(members))
+    except TypeError:  # the family or one of its edges is not iterable
+        raise ValueError(f"{kind}-edges must be a list of vertex lists") from None
+    return tuple(sorted(out))
+
+
+def per_row_dumps(h: MixedHypergraph) -> str:
+    """The canonical document of ``h``, every row of a list rendered on its own."""
+
+    def row_list(rows: list[list[int]]) -> str:
+        if not rows:
+            return "[]"
+        inner = ",\n".join("    [" + ", ".join(map(str, row)) + "]" for row in rows)
+        return "[\n" + inner + "\n  ]"
+
+    doc = to_document(h)
+    fields = []
+    for key in sorted(doc):
+        value = doc[key]
+        rendered = row_list(value) if isinstance(value, list) else json.dumps(value)
+        fields.append(f'  "{key}": {rendered}')
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 # The search as it was before the pair table: every candidate is
 # spectrum-tested, one edge-count layer at a time, and canonical keys are
 # built one vertex permutation at a time.  Only helpers the pair-table engine

@@ -1,6 +1,8 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mixedhg import (
     ISO_VERTEX_CAP,
@@ -10,6 +12,9 @@ from mixedhg import (
     construct_one,
     is_isomorphism,
 )
+from mixedhg.core import _canonical_edges
+
+from _oracles import per_edge_canonical_edges
 
 
 class TestConstruction:
@@ -84,6 +89,78 @@ class TestConstruction:
         assert h.label_index((2, 1)) == 1
         with pytest.raises(ValueError, match="no vertex labeled"):
             h.label_index((9, 9))
+
+
+@st.composite
+def edge_families(draw):
+    """An edge family as data: the vertex count, the edge kind, whether the
+    family is a generator, and its edges as ``(form, vertices)`` pairs, where
+    a ``"generator"`` edge yields its vertices once and a ``"scalar"`` edge
+    is its first vertex (or None), not an iterable.  Half the families hold
+    in-range ints only, and half of those are canonical already."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from("CD"))
+    clean = draw(st.booleans())
+    if clean:
+        vertex, forms = st.integers(0, n - 1), ["list", "tuple", "generator"]
+    else:
+        vertex = st.one_of(
+            st.integers(-2, n + 1), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]),
+            st.integers(0, n - 1).map(np.int64),
+        )
+        forms = ["list", "tuple", "generator", "scalar"]
+    edges = draw(st.lists(st.tuples(st.sampled_from(forms), st.lists(vertex, max_size=4)), max_size=8))
+    if clean and draw(st.booleans()):
+        rows = sorted({tuple(sorted(set(vs))) for _, vs in edges if len(set(vs)) >= 2})
+        edges = [("tuple", list(row)) for row in rows]
+    return n, kind, draw(st.booleans()), edges
+
+
+def build_family(generator, edges):
+    """The family that ``edge_families`` describes, built afresh."""
+
+    def edge(form, vertices):
+        if form == "generator":
+            return (v for v in vertices)
+        if form == "scalar":
+            return vertices[0] if vertices else None
+        return tuple(vertices) if form == "tuple" else list(vertices)
+
+    family = (edge(*e) for e in edges)
+    return family if generator else list(family)
+
+
+class TestBulkEdgeChecks:
+    @given(edge_families())
+    # bools, floats, numpy ints, negative and out-of-range vertices, singletons,
+    # duplicates, unsorted rows, generator and non-iterable edges and families
+    @example((3, "C", False, [("list", [True, 2])]))
+    @example((3, "D", False, [("tuple", [0, 1]), ("list", [1.0, 2])]))
+    @example((3, "C", False, [("list", [np.int64(0), 1])]))
+    @example((3, "C", False, [("list", [0, 1]), ("list", [-1, 2]), ("scalar", [5])]))
+    @example((3, "D", False, [("list", [0, 3])]))
+    @example((3, "C", True, [("list", [1, 2]), ("generator", [2])]))
+    @example((3, "C", False, [("list", [2, 1]), ("tuple", [1, 2]), ("generator", [0, 2, 0])]))
+    @example((3, "C", True, [("tuple", [0, 1]), ("scalar", [])]))
+    @example((3, "D", False, [("scalar", [1]), ("list", [5, 0])]))
+    def test_match_the_per_edge_loop(self, case):
+        n, kind, generator, edges = case
+
+        def outcome(canonical_edges):
+            try:
+                return canonical_edges(build_family(generator, edges), n, kind)
+            except ValueError as exc:
+                return str(exc)
+
+        got = outcome(_canonical_edges)
+        assert got == outcome(per_edge_canonical_edges)
+        if not isinstance(got, str):
+            assert all(type(v) is int for e in got for v in e)
+
+    def test_canonical_family_is_returned_as_it_is(self):
+        h = construct_one(TargetSet((5, 3, 2)))
+        assert _canonical_edges(h.c_edges, h.n, "C") == h.c_edges
+        assert all(a is b for a, b in zip(_canonical_edges(h.c_edges, h.n, "C"), h.c_edges))
 
 
 class TestDerivedSubhypergraph:

@@ -1,10 +1,14 @@
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mixedhg import MixedHypergraph, TargetSet, construct_one, construct_two
 from mixedhg.documents import VERTEX_CAP, dumps, from_document, load, load_hashed, loads, save, to_document
+
+from _oracles import per_row_dumps
 
 
 SAMPLES = [
@@ -29,6 +33,28 @@ def test_serialization_is_byte_stable(h):
     text = dumps(h)
     assert dumps(loads(text)) == text
     assert text.endswith("\n")
+
+
+@st.composite
+def labeled_hypergraphs(draw):
+    """Hypergraphs with labels of up to three ints each, negative ints and the
+    empty tuple among them."""
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = st.lists(st.sampled_from(pairs), max_size=6) if pairs else st.just([])
+    label = st.lists(st.integers(-300, 300), max_size=3).map(tuple)
+    labels = draw(st.none() | st.lists(label, min_size=n, max_size=n, unique=True))
+    return MixedHypergraph(n, draw(edges), draw(edges), labels)
+
+
+@given(labeled_hypergraphs())
+def test_rendering_matches_the_per_row_renderer(h):
+    assert dumps(h) == per_row_dumps(h)
+
+
+@pytest.mark.parametrize("h", SAMPLES + [MixedHypergraph(3, [(0, 1, 2)], [], labels=[(), (-1,), (-2, 0, 7)])])
+def test_samples_render_as_the_per_row_renderer(h):
+    assert dumps(h) == per_row_dumps(h)
 
 
 def test_document_is_plain_json_with_sorted_edges():

@@ -390,22 +390,58 @@ class TestKillMasks:
             expected = [len(np.unique(keys[edges == m])) for m in range(len(c_subsets) + len(d_subsets) + 1)]
             assert class_counts(n, c_subsets, d_subsets) == expected, (c_size, d_size)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_kill_tables_match_the_definition(self, n):
         parts = list(all_restricted_growth_strings(n))
+        assert search._partition_masks(n)[0].tolist() == [list(p) for p in parts]
 
         def bits(row):
             return np.unpackbits(row.view(np.uint8), bitorder="little")[: len(parts)].astype(bool).tolist()
 
-        for size in range(2, n + 2):  # n + 1 has no subsets
-            subsets = edge_subsets(n, size)
-            kill_c, kill_d, blocks = _kill_tables(n, subsets, subsets)
-            assert len(kill_c) == len(kill_d) == 1 << len(subsets)
-            for i, s in enumerate(subsets):
-                labels = [len({p[v] for v in s}) for p in parts]
-                assert bits(kill_c[1 << i]) == [count == size for count in labels], s
-                assert bits(kill_d[1 << i]) == [count == 1 for count in labels], s
+        # every pair of edge sizes, n + 1 with no subsets; at most 12 subsets
+        # a side keeps the OR tables small at n=6
+        for c_size, d_size in itertools.product(range(2, n + 2), repeat=2):
+            c_subsets, d_subsets = edge_subsets(n, c_size)[:12], edge_subsets(n, d_size)[:12]
+            kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+            assert (len(kill_c), len(kill_d)) == (1 << len(c_subsets), 1 << len(d_subsets))
+            for subsets, kills, killed in ((c_subsets, kill_c, len), (d_subsets, kill_d, lambda s: 1)):
+                for i, s in enumerate(subsets):
+                    labels = [len({p[v] for v in s}) for p in parts]
+                    assert bits(kills[1 << i]) == [count == killed(s) for count in labels], s
+                # a mask's row is the OR of its subsets' rows
+                assert (kills[-1] == np.bitwise_or.reduce(kills[[1 << i for i in range(len(subsets))]])).all()
             assert [bits(row) for row in blocks] == [[max(p) + 1 == k for p in parts] for k in range(1, n + 1)]
+
+
+class TestSharedTables:
+    def test_partition_masks_are_read_only(self):
+        tables = search._partition_masks(5)
+        assert search._partition_masks(5) is tables
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+        # the block-count rows _kill_tables returns are the shared ones
+        with pytest.raises(ValueError, match="read-only"):
+            _kill_tables(5, edge_subsets(5, 3), edge_subsets(5, 2))[2][0] = 0
+
+    def test_class_counts_are_new_lists(self):
+        c_subsets, d_subsets = edge_subsets(4, 3), edge_subsets(4, 2)
+        counts = class_counts(4, c_subsets, d_subsets)
+        expected = list(counts)
+        counts[0] = -1
+        counts.append(7)
+        assert class_counts(4, c_subsets, d_subsets) == expected
+
+    def test_no_state_leaks_between_searches(self):
+        # the pinned n=5 searches, from empty caches, in two orders
+        cases = [TargetSet(values) for values in ((4, 2), (5, 3), (5, 4), (4, 3, 2))]
+        runs = []
+        for order in (cases, cases[::-1]):
+            search._partition_masks.cache_clear()
+            search._class_counts.cache_clear()
+            runs.append({ts: bounded_minimality_search(ts, 5) for ts in order})
+        assert runs[0] == runs[1]
+        assert [runs[0][ts].examined for ts in cases] == [1048576, 1048576, 263951, 139116]
 
 
 def as_int(row):
