@@ -159,8 +159,8 @@ class TestBulkEdgeChecks:
 
     def test_canonical_family_is_returned_as_it_is(self):
         h = construct_one(TargetSet((5, 3, 2)))
-        assert _canonical_edges(h.c_edges, h.n, "C") == h.c_edges
-        assert all(a is b for a, b in zip(_canonical_edges(h.c_edges, h.n, "C"), h.c_edges))
+        out = _canonical_edges(h.c_edges, h.n, "C")
+        assert out == h.c_edges and all(a is b for a, b in zip(out, h.c_edges))
 
 
 class TestDerivedSubhypergraph:
