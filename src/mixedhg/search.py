@@ -17,10 +17,13 @@ what depends on ``n`` alone is built once per process and shared by every
 search: the Bell(n) partitions, every vertex subset's rainbow and
 monochromatic partition masks and the block-count rows
 (``_partition_masks``, 6.6 KiB at n=6); so are the class counts, per ``n``
-and pair of edge sizes.  The kill tables ORed from those masks are built per
-search.  The uniform edge sizes and the small vertex cap make this evidence
-about minimality, not a proof: a non-uniform or larger hypergraph is never
-examined.
+and pair of edge sizes.  The canonical form's OR tables, one column per
+vertex permutation, are built once per ``n`` and pair of edge sizes too, and
+only the last pair is kept (``_key_tables``, 487 KiB at n=5, at most 3.3 MiB
+at n=6).  The kill tables ORed from the partition masks are built per
+search.  The uniform edge sizes and the small vertex cap make this
+evidence about minimality, not a proof: a non-uniform or larger hypergraph
+is never examined.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Optional
@@ -174,23 +177,42 @@ def canonical_keys(
     Candidate ``mask_c << len(d_subsets) | mask_d`` maps to the minimum, over
     all vertex permutations, of the permuted pair packed the same way.  Two
     candidates get equal keys exactly when they are isomorphic.  Each byte
-    of a mask is permuted by one OR table with a column per permutation.
+    of a mask is permuted by one OR table of ``_key_tables``.
     """
     nd = len(d_subsets)
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    pieces = []  # (a byte of every candidate's mask, the images of that byte)
-    for masks, subsets, shift in ((flats >> nd, c_subsets, nd), (flats & ((1 << nd) - 1), d_subsets, 0)):
-        images = 1 << (_images(n, subsets, perms) + shift)
-        pieces += [(masks >> low & 255, _or_table(images[low : low + 8])) for low in range(0, len(subsets), 8)]
+    masks = ((flats >> nd, len(c_subsets)), (flats & ((1 << nd) - 1), nd))
+    # (a byte of every candidate's mask, the images of that byte)
+    pieces = list(zip(
+        [side >> low & 255 for side, size in masks for low in range(0, size, 8)],
+        _key_tables(n, tuple(map(tuple, c_subsets)), tuple(map(tuple, d_subsets))),
+    ))
     best = np.array(flats, dtype=np.int64)
-    rows = max(1, _ENTRIES // len(perms))
+    perms = factorial(n)
+    rows = max(1, _ENTRIES // perms)
     for at in range(0, len(best), rows):
         part = slice(at, at + rows)
-        permuted = np.zeros((len(best[part]), len(perms)), dtype=np.int64)
+        permuted = np.zeros((len(best[part]), perms), dtype=np.int64)
         for byte, table in pieces:
             permuted |= table[byte[part]]
         np.minimum(best[part], permuted.min(axis=1), out=best[part])
     return best
+
+
+@lru_cache(maxsize=1)
+def _key_tables(n: int, c_subsets: tuple[Edge, ...], d_subsets: tuple[Edge, ...]) -> tuple[np.ndarray, ...]:
+    """``canonical_keys``' OR tables, read-only: for each byte of the C-mask,
+    then of the D-mask, ``table[byte, p]`` is that byte's subsets moved by
+    the ``p``-th vertex permutation, packed as in a candidate id.  Only the
+    last ``(n, subsets)`` is kept: 499,200 bytes at n=5 (C-size 3, D-size 2)
+    and at most 3,409,920 in an n=6 space within ``CANDIDATE_CAP``."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    tables = []
+    for subsets, shift in ((c_subsets, len(d_subsets)), (d_subsets, 0)):
+        images = 1 << (_images(n, list(subsets), perms) + shift)
+        tables += [_or_table(images[low : low + 8]) for low in range(0, len(subsets), 8)]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
 
 
 def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> list[int]:
@@ -330,24 +352,40 @@ def _can_hit(kills: np.ndarray, other_all: np.ndarray, blocks: np.ndarray, want:
 def _hits(kills: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, want: np.ndarray) -> np.ndarray:
     """``hits[i, mask_d]``: whether the partitions killed neither by
     ``kills[i]`` nor by D-mask ``mask_d`` are one with ``k`` blocks for each
-    wanted block count ``k`` and none with any other."""
-    feasible = ~(kills[:, None] | kill_d)
-    hit = ~(feasible & np.bitwise_or.reduce(blocks[~want])).any(axis=2)
-    for row in blocks[want]:
-        hit &= np.bitwise_count(feasible & row).sum(axis=2, dtype=np.uint8) == 1
+    wanted block count ``k`` and none with any other.  Built one word at a
+    time, so every working array is one ``(i, mask_d)`` table."""
+    unwanted = np.bitwise_or.reduce(blocks[~want])
+    wanted = blocks[want]
+    spill = np.zeros((len(kills), len(kill_d)), dtype=np.uint64)
+    counts = np.zeros((len(wanted), len(kills), len(kill_d)), dtype=np.uint8)
+    for w in range(kills.shape[1]):
+        feasible = ~(kills[:, w, None] | kill_d[:, w])
+        spill |= feasible & unwanted[w]
+        for count, row in zip(counts, wanted):
+            count += np.bitwise_count(feasible & row[w])
+    hit = spill == 0
+    for count in counts:
+        hit &= count == 1
     return hit
 
 
-def _layer_until(flat: int, nd: int) -> np.ndarray:
+def _layer_until(flat: int, d_order: np.ndarray) -> np.ndarray:
     """The ids with as many set bits as ``flat``, ascending, up to and
-    including ``flat``: each C-mask ``id >> nd`` up to ``flat``'s, with the
-    D-masks that bring it to that many."""
-    d_masks = np.arange(1 << nd)
-    d_edges = np.bitwise_count(d_masks)
-    below = flat.bit_count() - np.bitwise_count(np.arange((flat >> nd) + 1))
-    layer = np.sort(np.concatenate(
-        [(np.flatnonzero(below == j)[:, None] << nd | d_masks[d_edges == j]).ravel() for j in range(nd + 1)]
-    ))
+    including ``flat``.  ``d_order`` lists the D-masks by edge count, then
+    mask, so the D-masks that bring a C-mask ``id >> nd`` to that many bits
+    are one run of it, already ascending: each C-mask up to ``flat``'s is
+    repeated once per D-mask of its run."""
+    nd = len(d_order).bit_length() - 1
+    # runs[j]: where the D-masks with j edges start in d_order
+    runs = np.searchsorted(np.bitwise_count(d_order), np.arange(nd + 2))
+    c_masks = np.arange((flat >> nd) + 1)
+    j = flat.bit_count() - np.bitwise_count(c_masks).astype(np.int64)
+    keep = (j >= 0) & (j <= nd)
+    c_masks, j = c_masks[keep], j[keep]
+    lengths = runs[j + 1] - runs[j]
+    ends = np.cumsum(lengths)
+    within = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    layer = np.repeat(c_masks << nd, lengths) | d_order[np.repeat(runs[j], lengths) + within]
     return layer[: np.searchsorted(layer, flat) + 1]
 
 
@@ -390,7 +428,7 @@ def bounded_minimality_search(
     if max(ts.values) > n:
         return exhausted
     kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
-    want = np.isin(np.arange(1, n + 1), ts.values)
+    want = np.array([k in ts.values for k in range(1, n + 1)])
     # only the C and D kill masks that can be part of a hit meet in _hits
     rows = max(1, _ENTRIES // kill_c.shape[1])
     live = np.flatnonzero(np.concatenate(
@@ -422,7 +460,7 @@ def bounded_minimality_search(
     if m > nc + nd:
         return exhausted
     mask_d = int(d_order[first[mask_c]])
-    layer = _layer_until(mask_c << nd | mask_d, nd)
+    layer = _layer_until(mask_c << nd | mask_d, d_order)
     examined = sum(comb(nc + nd, j) for j in range(m)) + len(layer)
     # isomorphic candidates have equal edge counts: every class of the layers
     # below is complete, and the layer prefix holds each class it meets at its

@@ -363,3 +363,30 @@ def layer_scan_search(
                 return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)
         before += len(layer)
     return SearchReport(Outcome.EXHAUSTED, None, total, (total - sum(classes)) / total)
+
+
+# The witness layer and the hit test as they were before the layer was cut
+# from runs of the D-order and the hit test went one word at a time.
+
+
+def per_count_layer_until(flat: int, nd: int) -> np.ndarray:
+    """The ids with as many set bits as ``flat``, ascending, up to and
+    including ``flat``: each C-mask ``id >> nd`` up to ``flat``'s, with the
+    D-masks that bring it to that many, gathered per D edge count and sorted."""
+    d_masks = np.arange(1 << nd)
+    d_edges = np.bitwise_count(d_masks)
+    below = flat.bit_count() - np.bitwise_count(np.arange((flat >> nd) + 1))
+    layer = np.sort(np.concatenate(
+        [(np.flatnonzero(below == j)[:, None] << nd | d_masks[d_edges == j]).ravel() for j in range(nd + 1)]
+    ))
+    return layer[: np.searchsorted(layer, flat) + 1]
+
+
+def stacked_hits(kills: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """``hits[i, mask_d]`` from one ``(i, mask_d, word)`` array of feasible
+    partitions, reduced over its words."""
+    feasible = ~(kills[:, None] | kill_d)
+    hit = ~(feasible & np.bitwise_or.reduce(blocks[~want])).any(axis=2)
+    for row in blocks[want]:
+        hit &= np.bitwise_count(feasible & row).sum(axis=2, dtype=np.uint8) == 1
+    return hit

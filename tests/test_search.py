@@ -36,7 +36,14 @@ from mixedhg.search import (
     hypergraph_from_masks,
 )
 
-from _oracles import all_restricted_growth_strings, brute_force_spectrum, layer_scan_search, per_permutation_keys
+from _oracles import (
+    all_restricted_growth_strings,
+    brute_force_spectrum,
+    layer_scan_search,
+    per_count_layer_until,
+    per_permutation_keys,
+    stacked_hits,
+)
 
 
 class TestRealizationPredicates:
@@ -345,10 +352,25 @@ class TestKillMasks:
             order = sorted(range(1 << bits), key=lambda f: (f.bit_count(), f))
             for nd in {0, bits // 2, bits}:
                 for pos, flat in enumerate(order):
-                    layer = _layer_until(flat, nd)
+                    layer = _layer_until(flat, d_order(nd))
                     m = flat.bit_count()
                     assert sum(comb(bits, j) for j in range(m)) + len(layer) - 1 == pos, (bits, nd, flat)
                     assert layer.tolist() == order[pos - len(layer) + 1 : pos + 1], (bits, nd, flat)
+
+    @pytest.mark.parametrize("nd", range(16))
+    def test_witness_layer_matches_the_per_count_layer(self, nd):
+        rng = random.Random(nd)
+        order = d_order(nd)
+        for nc in (0, 1, 4, 6):
+            bits = nc + nd
+            flats = [rng.randrange(1 << bits) for _ in range(10)]
+            flats += [rng.randrange(1 << nd) for _ in range(5)]  # C-mask 0
+            # the last id of each layer: its set bits on top
+            flats += [((1 << m) - 1) << (bits - m) for m in range(bits + 1)]
+            for flat in flats:
+                expected = per_count_layer_until(flat, nd)
+                layer = _layer_until(flat, order)
+                assert layer.dtype == expected.dtype and layer.tolist() == expected.tolist(), (nc, nd, flat)
 
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_distinct_rows(self, words):
@@ -361,23 +383,31 @@ class TestKillMasks:
         assert len(np.unique(kills, axis=0)) == len(kills) == len(np.unique(table, axis=0))
 
     def test_hits_match_brute_force(self):
-        n = 5
-        c_subsets, d_subsets = edge_subsets(n, 3), edge_subsets(n, 2)
-        nd = len(d_subsets)
-        kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
-        flats = random.Random(5).sample(range(1 << (len(c_subsets) + nd)), 200)
-        targets = [v for r in (2, 3) for v in itertools.combinations(range(2, n + 1), r)]
-        hits = 0
-        for flat in flats:
-            h = hypergraph_from_masks(n, flat >> nd, flat & (1 << nd) - 1, c_subsets, d_subsets)
-            spectrum = brute_force_spectrum(h)
-            for values in targets:
-                want = np.isin(np.arange(1, n + 1), values)
-                verdict = bool(_hits(kill_c[[flat >> nd]], kill_d, blocks, want)[0, flat & (1 << nd) - 1])
-                one = tuple(int(k in values) for k in range(1, max(values) + 1))
-                assert verdict == (spectrum == one), (flat, values)
-                hits += verdict
-        assert hits, "the sample must contain one-realizations"
+        # one word of partitions at n=5, four at n=6
+        for n, c_size, d_size in ((5, 3, 2), (6, 2, 5)):
+            c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+            nd = len(d_subsets)
+            kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+            assert kill_c.shape[1] == (1 if n == 5 else 4)
+            flats = random.Random(n).sample(range(1 << (len(c_subsets) + nd)), 200 if n == 5 else 60)
+            # and a witness, so that both verdicts are met
+            budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size)
+            h = bounded_minimality_search(TargetSet((3, 2)), n, budget).witness
+            mask_c = sum(1 << c_subsets.index(e) for e in h.c_edges)
+            mask_d = sum(1 << d_subsets.index(e) for e in h.d_edges)
+            flats.append(mask_c << nd | mask_d)
+            targets = [v for r in (2, 3) for v in itertools.combinations(range(2, n + 1), r)]
+            hits = 0
+            for flat in flats:
+                h = hypergraph_from_masks(n, flat >> nd, flat & (1 << nd) - 1, c_subsets, d_subsets)
+                spectrum = brute_force_spectrum(h)
+                for values in targets:
+                    want = np.isin(np.arange(1, n + 1), values)
+                    verdict = bool(_hits(kill_c[[flat >> nd]], kill_d, blocks, want)[0, flat & (1 << nd) - 1])
+                    one = tuple(int(k in values) for k in range(1, max(values) + 1))
+                    assert verdict == (spectrum == one), (n, flat, values)
+                    hits += verdict
+            assert hits, "the sample must contain one-realizations"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_burnside_count_matches_the_keys(self, n):
@@ -413,6 +443,63 @@ class TestKillMasks:
             assert [bits(row) for row in blocks] == [[max(p) + 1 == k for p in parts] for k in range(1, n + 1)]
 
 
+class TestWordHits:
+    """``_hits`` against the stacked ``(i, mask_d, word)`` hit test."""
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 4])
+    def test_random_rows(self, words):
+        rng = np.random.default_rng(words)
+        n = 6
+        # each partition bit gets one block count
+        labels = rng.integers(0, n, 64 * words)
+        bits = (labels == np.arange(n)[:, None]).reshape(n, words, 64)
+        blocks = (bits.astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
+        hits = 0
+        for spare in (2, 8, 40):
+            # C rows that spare about ``spare`` partitions each, random D rows
+            spared = rng.random((37, 64 * words)) < spare / (64 * words)
+            kills = ~np.packbits(spared, axis=1, bitorder="little").view("<u8")
+            kill_d = rng.integers(0, 1 << 64, size=(23, words), dtype=np.uint64)
+            for want_bits in range(1 << n):
+                want = (want_bits >> np.arange(n) & 1).astype(bool)
+                hit = _hits(kills, kill_d, blocks, want)
+                assert (hit == stacked_hits(kills, kill_d, blocks, want)).all(), (spare, want_bits)
+                hits += hit.sum()
+        assert hits, "some pair must hit"
+
+    @pytest.mark.parametrize(
+        "values,n,c_size,d_size",
+        [((3, 2), 5, 3, 2), ((4, 3), 5, 3, 2), ((3, 2), 6, 3, 5), ((4, 2), 6, 5, 3), ((5, 4), 6, 2, 5)],
+    )
+    def test_real_pair_tables(self, values, n, c_size, d_size, monkeypatch):
+        c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+        kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+        # every table the search builds
+        calls = []
+
+        def checked(kills, kill_d, blocks, want):
+            hit = _hits(kills, kill_d, blocks, want)
+            assert (hit == stacked_hits(kills, kill_d, blocks, want)).all()
+            calls.append(hit.any())
+            return hit
+
+        monkeypatch.setattr(search, "_hits", checked)
+        budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size, max_candidates=CANDIDATE_CAP)
+        report = bounded_minimality_search(TargetSet(values), n, budget)
+        assert any(calls) == (report.outcome is Outcome.WITNESS_FOUND)
+        # and, for every wanted set, the masks of at most one edge and a sample
+        # of the distinct kill masks of each side
+        rng = np.random.default_rng(n)
+        sides = []
+        for kills, size in ((kill_c, len(c_subsets)), (kill_d, len(d_subsets))):
+            distinct, _ = _distinct_rows(kills)
+            sample = distinct[rng.choice(len(distinct), min(len(distinct), 200), replace=False)]
+            sides.append(np.concatenate((kills[[0] + [1 << i for i in range(size)]], sample)))
+        for want_bits in range(1 << n):
+            want = (want_bits >> np.arange(n) & 1).astype(bool)
+            assert (_hits(*sides, blocks, want) == stacked_hits(*sides, blocks, want)).all(), want_bits
+
+
 class TestSharedTables:
     def test_partition_masks_are_read_only(self):
         tables = search._partition_masks(5)
@@ -432,6 +519,37 @@ class TestSharedTables:
         counts.append(7)
         assert class_counts(4, c_subsets, d_subsets) == expected
 
+    def test_key_tables_are_read_only(self):
+        c_subsets, d_subsets = tuple(edge_subsets(5, 3)), tuple(edge_subsets(5, 2))
+        tables = search._key_tables(5, c_subsets, d_subsets)
+        assert search._key_tables(5, c_subsets, d_subsets) is tables
+        # one table per byte of the C-mask and of the D-mask, a column per permutation
+        assert [table.shape for table in tables] == [(256, 120), (4, 120)] * 2
+        assert sum(table.nbytes for table in tables) == 499_200
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_warm_and_cold_keys_agree(self):
+        c_subsets, d_subsets = edge_subsets(5, 2), edge_subsets(5, 3)
+        flats = np.array(sorted(random.Random(7).sample(range(1 << 20), 2000)))
+        search._key_tables.cache_clear()
+        cold = canonical_keys(5, c_subsets, d_subsets, flats)
+        assert search._key_tables.cache_info().misses == 1
+        warm = canonical_keys(5, c_subsets, d_subsets, flats)
+        assert search._key_tables.cache_info().hits == 1
+        assert (cold == warm).all()
+        assert (cold == per_permutation_keys(5, c_subsets, d_subsets, flats)).all()
+
+    def test_one_key_table_set_is_kept(self):
+        search._key_tables.cache_clear()
+        # two witness searches on different vertex counts and edge sizes
+        assert bounded_minimality_search(TargetSet((3, 2)), 5).outcome is Outcome.WITNESS_FOUND
+        budget = SearchBudget(c_edge_size=6, d_edge_size=2)
+        assert bounded_minimality_search(TargetSet((6, 5)), 6, budget).outcome is Outcome.WITNESS_FOUND
+        info = search._key_tables.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (2, 1, 1)
+
     def test_no_state_leaks_between_searches(self):
         # the pinned n=5 searches, from empty caches, in two orders
         cases = [TargetSet(values) for values in ((4, 2), (5, 3), (5, 4), (4, 3, 2))]
@@ -439,9 +557,15 @@ class TestSharedTables:
         for order in (cases, cases[::-1]):
             search._partition_masks.cache_clear()
             search._class_counts.cache_clear()
+            search._key_tables.cache_clear()
             runs.append({ts: bounded_minimality_search(ts, 5) for ts in order})
         assert runs[0] == runs[1]
         assert [runs[0][ts].examined for ts in cases] == [1048576, 1048576, 263951, 139116]
+
+
+def d_order(nd):
+    """The D-masks by edge count, then mask, as the search orders them."""
+    return np.argsort(np.bitwise_count(np.arange(1 << nd)), kind="stable")
 
 
 def as_int(row):
