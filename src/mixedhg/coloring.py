@@ -5,17 +5,23 @@ matter), encoded canonically as restricted-growth strings: vertex 0 is in
 block 0 and every later vertex uses either an existing block index or the
 next unused one.  Listing is level by level in vertex id order, one
 vectorised step per vertex over all partial partitions at once, so results
-always come out in lexicographic restricted-growth order.  Counting is a
-frontier dynamic programme along one greedy vertex order, and never visits a
-partition one by one.  Every operation runs in this process: ``jobs`` is
-accepted and starts no workers.
+always come out in lexicographic restricted-growth order; at each vertex the
+edges it closes are tested by group (one kind and size), each group on every
+row at once.  The listed ``Partition`` objects are built in bulk from the
+checked rows, with the process's cyclic garbage collector paused while they
+are made (re-enabled afterwards only if it was enabled; a thread that runs
+meanwhile runs with it paused too).  Counting is a frontier dynamic programme
+along one greedy vertex order, and never visits a partition one by one.
+Every operation runs in this process: ``jobs`` is accepted and starts no
+workers.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import gc
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -24,12 +30,15 @@ from .core import MixedHypergraph
 
 FeasibleSet = tuple[int, ...]
 
+# the most entries of one array in listing's grouped edge test (8 MiB of bools)
+_ENTRIES = 1 << 23
+
 # the most partitions ``spectrum --list-colorings`` lists; the library's own
 # listing functions take no cap
 LIST_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A partition of ``0..n-1`` in restricted-growth form."""
 
@@ -84,15 +93,20 @@ class Partition:
         if bad.any():
             cls(tuple(rows[bad.argmax()].tolist()))  # raises the error of the first bad row
         del bad, top  # building the objects is the peak of listing's memory
-        new, put = object.__new__, object.__setattr__
-        out = []
-        for a in zip(*rows.T.tolist()):  # by columns: far fewer list objects
-            p = new(cls)
-            put(p, "assignment", a)
-            out.append(p)
+        # the new objects hold only ints and form no cycles, so a collection
+        # while they are made would walk the heap and free nothing
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = list(map(object.__new__, repeat(cls, len(rows))))
+            # by columns: far fewer list objects
+            deque(map(cls.assignment.__set__, out, zip(*rows.T.tolist())), maxlen=0)
+        finally:
+            if enabled:
+                gc.enable()
         return out
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks ordered by smallest member."""
         out: list[list[int]] = [[] for _ in range(self.num_blocks)]
@@ -172,37 +186,50 @@ def is_proper(h: MixedHypergraph, p: Partition) -> bool:
 # The partial partitions of vertices 0..v-1 are the rows of one array, in
 # lexicographic order.  Vertex v extends each row by every block it may take:
 # an old block or the next unused one, and below k when k is set.  Each edge
-# is checked when its last vertex is placed, on all rows at once: a C-edge
-# whose other members are rainbow forces v into one of their blocks, a D-edge
-# whose other members share a block keeps v out of it.  The children of a row
-# come out in block order, so the rows stay lexicographic without a sort.
+# is filed once, under its last vertex, in a group of edges of one kind and
+# size; at v each group is tested on all rows at once, from one gather per
+# member position (edges x rows).  A C-edge whose other members are rainbow
+# forces v into one of their blocks, a D-edge whose other members share a
+# block keeps v out of it.  The children of a row come out in block order, so
+# the rows stay lexicographic without a sort.
 
 
 def _partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
     """Every feasible partition of ``h`` (with exactly ``k`` blocks when
     ``k`` is set) as one restricted-growth row, in lexicographic order."""
     n = h.n
-    closing: list[list[tuple[bool, list[int]]]] = [[] for _ in range(n)]  # edges by last vertex
+    # each edge once, under its last vertex, grouped by kind and number of
+    # other members: a group is tested on all rows at once
+    closing: list[dict[tuple[bool, int], list[tuple[int, ...]]]] = [defaultdict(list) for _ in range(n)]
     for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
         for e in edges:
-            closing[e[-1]].append((is_c, list(e[:-1])))
-    rows = np.zeros((1, 1), dtype=np.int16)
+            closing[e[-1]][is_c, len(e) - 1].append(e[:-1])
+    rows = np.zeros((1, n), dtype=np.int16)  # full width: a level gathers its parents' rows and sets column v
     used = np.ones(1, dtype=np.int16)  # blocks used by each row
     for v in range(1, n):
         blocks = np.arange(min(v + 1, n if k is None else k), dtype=np.int16)
         allowed = blocks <= used[:, None]
-        for is_c, others in closing[v]:
-            members = rows[:, others]
-            if is_c:
-                spread = np.sort(members, axis=1)
-                rainbow = (spread[:, 1:] != spread[:, :-1]).all(axis=1)
-                hit = (members[:, :, None] == blocks).any(axis=1)
-                allowed &= hit | ~rainbow[:, None]
-            else:
-                mono = (members == members[:, :1]).all(axis=1)
-                allowed &= ~(mono[:, None] & (members[:, :1] == blocks))
+        step = max(1, _ENTRIES // max(1, allowed.size))  # edges per test: its arrays stay within _ENTRIES
+        for (is_c, _), group in closing[v].items():
+            for lo in range(0, len(group), step):
+                # edges x rows: the block of each edge's i-th other member
+                members = [rows[:, list(col)].T for col in zip(*group[lo : lo + step])]
+                first = members[0]
+                if is_c:  # a block is spared where it repeats a member or the edge is not rainbow
+                    spared = first[:, :, None] == blocks
+                    for i, m in enumerate(members[1:], start=1):
+                        spared |= m[:, :, None] == blocks
+                        for earlier in members[:i]:
+                            spared |= (m == earlier)[:, :, None]
+                    allowed &= spared.all(axis=0)
+                else:  # the first member's block is barred where every member shares it
+                    barred = first[:, :, None] == blocks
+                    for m in members[1:]:
+                        barred &= (m == first)[:, :, None]
+                    allowed &= ~barred.any(axis=0)
         parent, b = np.nonzero(allowed)
-        rows = np.column_stack((rows[parent], b.astype(np.int16)))
+        rows = rows[parent]
+        rows[:, v] = b
         used = used[parent]
         used += b == used
         if k is not None:  # the vertices left can open at most one block each

@@ -9,7 +9,8 @@ dict frontier programme is the counting engine as it was before its one-pass
 edge plan and bitmask states, kept as the reference for that engine on
 instances too large for brute force.  The per-edge validation loop and the
 per-row document renderer are the core and document code as they were
-before their bulk checks and one-call rendering.
+before their bulk checks and one-call rendering.  The per-edge row engine is
+the listing engine as it was before it tested closing edges by group.
 """
 
 from __future__ import annotations
@@ -95,6 +96,43 @@ def restrict_partition(p: Partition, keep: set[int]) -> Partition:
     for v in kept:
         blocks.setdefault(p.assignment[v], []).append(pos[v])
     return Partition.from_blocks(blocks.values())
+
+
+# --- the per-edge row engine -------------------------------------------------
+
+
+def per_edge_partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
+    """Every feasible partition of ``h`` (with exactly ``k`` blocks when
+    ``k`` is set) as one int16 restricted-growth row, in lexicographic order,
+    level by level with each closing edge tested on its own."""
+    n = h.n
+    closing: list[list[tuple[bool, list[int]]]] = [[] for _ in range(n)]  # edges by last vertex
+    for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
+        for e in edges:
+            closing[e[-1]].append((is_c, list(e[:-1])))
+    rows = np.zeros((1, 1), dtype=np.int16)
+    used = np.ones(1, dtype=np.int16)  # blocks used by each row
+    for v in range(1, n):
+        blocks = np.arange(min(v + 1, n if k is None else k), dtype=np.int16)
+        allowed = blocks <= used[:, None]
+        for is_c, others in closing[v]:
+            members = rows[:, others]
+            if is_c:
+                spread = np.sort(members, axis=1)
+                rainbow = (spread[:, 1:] != spread[:, :-1]).all(axis=1)
+                hit = (members[:, :, None] == blocks).any(axis=1)
+                allowed &= hit | ~rainbow[:, None]
+            else:
+                mono = (members == members[:, :1]).all(axis=1)
+                allowed &= ~(mono[:, None] & (members[:, :1] == blocks))
+        parent, b = np.nonzero(allowed)
+        rows = np.column_stack((rows[parent], b.astype(np.int16)))
+        used = used[parent]
+        used += b == used
+        if k is not None:  # the vertices left can open at most one block each
+            live = used + (n - 1 - v) >= k
+            rows, used = rows[live], used[live]
+    return rows
 
 
 # --- the dict frontier programme ---------------------------------------------

@@ -1,7 +1,12 @@
 import concurrent.futures
+import copy
+import dataclasses
+import gc
 import itertools
+import json
 import multiprocessing.process
 import os
+import pickle
 import random
 import re
 from pathlib import Path
@@ -36,7 +41,15 @@ from mixedhg.coloring import (
     _neighbourhoods,
 )
 
-from _oracles import brute_force_partitions, brute_force_spectrum, dict_frontier_counts, stirling_second
+from _oracles import (
+    brute_force_partitions,
+    brute_force_spectrum,
+    dict_frontier_counts,
+    per_edge_partition_rows,
+    stirling_second,
+)
+
+POOL = Path(__file__).resolve().parent.parent / "bench" / "sparse_pool.json"
 
 
 @pytest.fixture
@@ -317,10 +330,10 @@ def walk_partitions(h: MixedHypergraph, k: Optional[int] = None) -> list[tuple[i
 
 
 @st.composite
-def mixed_hypergraphs(draw, max_n=7):
-    """C- and D-edges of sizes 2 to 4 on at most ``max_n`` vertices."""
+def mixed_hypergraphs(draw, max_n=7, sizes=(2, 3, 4)):
+    """C- and D-edges of the given sizes on at most ``max_n`` vertices."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    pool = [e for size in (2, 3, 4) for e in itertools.combinations(range(n), size)]
+    pool = [e for size in sizes for e in itertools.combinations(range(n), size)]
     edges = st.lists(st.sampled_from(pool), max_size=7) if pool else st.just([])
     return MixedHypergraph(n, draw(edges), draw(edges))
 
@@ -359,6 +372,47 @@ class TestListing:
         assert all_feasible_partitions(h) == []
         assert all(enumerate_strict(h, k) == [] for k in range(1, 6))
 
+    @staticmethod
+    def check_rows_against_the_per_edge_loop(h):
+        for k in [None, *range(1, h.n + 1)]:
+            got, expected = coloring._partition_rows(h, k), per_edge_partition_rows(h, k)
+            assert got.dtype == expected.dtype == np.int16 and got.shape == expected.shape, k
+            assert (got == expected).all(), k
+
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_hypergraphs(sizes=(2, 3, 4, 5)))
+    def test_grouped_test_matches_the_per_edge_loop(self, h):
+        self.check_rows_against_the_per_edge_loop(h)
+
+    @pytest.mark.parametrize("entries", [None, 64, 1])
+    @pytest.mark.parametrize(
+        "h",
+        [
+            MixedHypergraph(5, [(0, 1)], [(0, 1)]),  # uncolorable bi-edge
+            # several edges of one kind and size close at vertex 6, and at 5
+            MixedHypergraph(
+                7,
+                [(0, 5), (1, 5), (0, 1, 6), (2, 3, 6), (1, 4, 6), (0, 5, 6), (0, 1, 2, 6), (2, 3, 4, 6)],
+                [(2, 5), (4, 5), (0, 6), (2, 6), (3, 6), (3, 4, 6), (1, 5, 6), (0, 1, 2, 3, 6), (1, 2, 4, 5, 6)],
+            ),
+            MixedHypergraph(8, [(0, 7), (1, 7), (2, 7)], [(3, 4, 7), (4, 5, 7), (3, 6, 7), (5, 6, 7)]),
+        ],
+        ids=["bi-edge", "groups-at-5-and-6", "groups-at-7"],
+    )
+    def test_closing_groups_match_the_per_edge_loop(self, monkeypatch, h, entries):
+        # a small _ENTRIES splits a group's edges across several tests
+        if entries is not None:
+            monkeypatch.setattr(coloring, "_ENTRIES", entries)
+        self.check_rows_against_the_per_edge_loop(h)
+
+    def test_pool_instances_match_the_per_edge_loop(self):
+        # C-triples and D-pairs on 12-14 vertices, as the benchmark lists them
+        listed = json.loads(POOL.read_text(encoding="utf-8"))["listed"]
+        for inst in listed[::16]:
+            h = MixedHypergraph(inst["n"], inst["c_edges"], inst["d_edges"])
+            self.check_rows_against_the_per_edge_loop(h)
+            assert len(coloring._partition_rows(h)) == sum(inst["spectrum"])
+
     def test_rows_are_int16_and_lexicographic(self):
         rows = coloring._partition_rows(MixedHypergraph(6, [], []))
         assert rows.dtype == np.int16 and rows.shape == (203, 6)
@@ -380,8 +434,15 @@ class TestListedPartitions:
             for p in listed:
                 q = Partition(p.assignment)
                 assert type(p) is Partition and type(p.assignment) is tuple
+                assert not hasattr(p, "__dict__")
                 assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
-                assert p.blocks == q.blocks and p.num_blocks == q.num_blocks and len(p) == len(q)
+                assert p.blocks == q.blocks == p.blocks and p.num_blocks == q.num_blocks and len(p) == len(q)
+            for p in listed[:1] + listed[-1:]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    p.assignment = (0,) * len(p)
+        for copied in (pickle.loads(pickle.dumps(lists[0])), copy.deepcopy(lists[0])):
+            assert copied == lists[0]
+            assert [hash(p) for p in copied] == [hash(p) for p in lists[0]]
 
     @pytest.mark.parametrize(
         "bad", [[[1, 0]], [[0, 2]], [[0, 1, 3]], [[0, -1]], [[0, 0, 0], [0, 1, 3], [0, 2, 0]]]
@@ -397,6 +458,42 @@ class TestListedPartitions:
 
     def test_no_rows_give_no_partitions(self):
         assert Partition._from_rows(np.zeros((0, 5), dtype=np.int16)) == []
+
+
+class TestListingLeavesTheCollector:
+    """Listing pauses the cyclic GC while it builds its ``Partition``s and
+    leaves ``gc.isenabled()`` as it found it."""
+
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_kept(self, monkeypatch, restore_gc, enabled):
+        during = []
+
+        def watch(*args):
+            during.append(gc.isenabled())
+            return itertools.repeat(*args)
+
+        monkeypatch.setattr(coloring, "repeat", watch)
+        (gc.enable if enabled else gc.disable)()
+        assert len(all_feasible_partitions(MixedHypergraph(6))) == 203
+        assert gc.isenabled() is enabled
+        assert during == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_kept_when_the_build_raises(self, monkeypatch, restore_gc, enabled):
+        def fail(*args):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(coloring, "repeat", fail)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="build failed"):
+            all_feasible_partitions(MixedHypergraph(6))
+        assert gc.isenabled() is enabled
 
 
 class TestFeasibleSets:
