@@ -12,29 +12,26 @@ candidate order at all.  The witness is read off that one pass.
 Isomorphism classes are counted per edge count by Polya's theorem
 (``class_counts``); only in the layer of a witness, up to the witness, are
 they told apart by a canonical form (the smallest id in the candidate's
-isomorphism class).  Only the hit tests depend on the target set, so
-what depends on ``n`` alone is built once per process and shared by every
-search: the Bell(n) partitions, every vertex subset's rainbow and
-monochromatic partition masks and the block-count rows
-(``_partition_masks``, 6.6 KiB at n=6); so are the class counts, per ``n``
-and pair of edge sizes.  The canonical form's OR tables, one column per
-vertex permutation, are built once per ``n`` and pair of edge sizes too, and
-only the last pair is kept (``_key_tables``, 487 KiB at n=5, at most 3.3 MiB
-at n=6).  The kill tables ORed from the partition masks are built per
-search.  The uniform edge sizes and the small vertex cap make this
-evidence about minimality, not a proof: a non-uniform or larger hypergraph
-is never examined.
+isomorphism class).  Only the hit tests depend on the target set; the rest
+is kept for later searches in two caches.  Per ``n``: the Bell(n)
+partitions, every vertex subset's rainbow and monochromatic partition masks
+and the block-count rows (``_partition_masks``).  For the last ``n`` and
+pair of edge sizes searched: the candidate space (``_space``), that is the
+edge subsets, the class counts, the kill tables, the canonical form's OR
+tables and the D-order.  README "Limits" gives their sizes.  The uniform
+edge sizes and the small vertex cap make this evidence about minimality,
+not a proof: a non-uniform or larger hypergraph is never examined.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +63,9 @@ class SearchBudget:
     max_candidates: int = 1 << 22
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if type(getattr(self, field.name)) is not int:
+                raise ValueError(f"{field.name} must be an int")
         if self.c_edge_size < 2 or self.d_edge_size < 2:
             raise ValueError("edge sizes must be at least 2")
         if not 1 <= self.max_candidates <= CANDIDATE_CAP:
@@ -149,7 +149,7 @@ def _bitmasks(subsets: Iterable[tuple[int, ...]]) -> np.ndarray:
     return np.array([sum(1 << v for v in s) for s in subsets], dtype=np.int64)
 
 
-def _images(n: int, subsets: list[tuple[int, ...]], perms: np.ndarray) -> np.ndarray:
+def _images(n: int, subsets: Sequence[Edge], perms: np.ndarray) -> np.ndarray:
     """``images[i, p]``: the index that vertex permutation ``perms[p]`` moves
     subset ``i`` to, found through a lookup from vertex bitmask to index."""
     masks = _bitmasks(subsets)
@@ -169,23 +169,19 @@ def _cycle_types(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, .
             yield (part,) + rest
 
 
-def canonical_keys(
-    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]], flats: np.ndarray
-) -> np.ndarray:
-    """Canonical form of the candidates ``flats``.
+def canonical_keys(n: int, c_size: int, d_size: int, flats: np.ndarray) -> np.ndarray:
+    """Canonical form of the candidates ``flats`` of ``_space(n, c_size, d_size)``.
 
     Candidate ``mask_c << len(d_subsets) | mask_d`` maps to the minimum, over
     all vertex permutations, of the permuted pair packed the same way.  Two
     candidates get equal keys exactly when they are isomorphic.  Each byte
     of a mask is permuted by one OR table of ``_key_tables``.
     """
-    nd = len(d_subsets)
-    masks = ((flats >> nd, len(c_subsets)), (flats & ((1 << nd) - 1), nd))
+    space = _space(n, c_size, d_size)
+    nd = len(space.d_subsets)
+    masks = ((flats >> nd, len(space.c_subsets)), (flats & ((1 << nd) - 1), nd))
     # (a byte of every candidate's mask, the images of that byte)
-    pieces = list(zip(
-        [side >> low & 255 for side, size in masks for low in range(0, size, 8)],
-        _key_tables(n, tuple(map(tuple, c_subsets)), tuple(map(tuple, d_subsets))),
-    ))
+    pieces = list(zip([side >> low & 255 for side, size in masks for low in range(0, size, 8)], space.keys))
     best = np.array(flats, dtype=np.int64)
     perms = factorial(n)
     rows = max(1, _ENTRIES // perms)
@@ -198,32 +194,20 @@ def canonical_keys(
     return best
 
 
-@lru_cache(maxsize=1)
-def _key_tables(n: int, c_subsets: tuple[Edge, ...], d_subsets: tuple[Edge, ...]) -> tuple[np.ndarray, ...]:
-    """``canonical_keys``' OR tables, read-only: for each byte of the C-mask,
-    then of the D-mask, ``table[byte, p]`` is that byte's subsets moved by
-    the ``p``-th vertex permutation, packed as in a candidate id.  Only the
-    last ``(n, subsets)`` is kept: 499,200 bytes at n=5 (C-size 3, D-size 2)
-    and at most 3,409,920 in an n=6 space within ``CANDIDATE_CAP``."""
+def _key_tables(n: int, c_subsets: Sequence[Edge], d_subsets: Sequence[Edge]) -> tuple[np.ndarray, ...]:
+    """``canonical_keys``' OR tables: for each byte of the C-mask, then of
+    the D-mask, ``table[byte, p]`` is that byte's subsets moved by the
+    ``p``-th vertex permutation, packed as in a candidate id."""
     perms = np.array(list(permutations(range(n))), dtype=np.int64)
     tables = []
     for subsets, shift in ((c_subsets, len(d_subsets)), (d_subsets, 0)):
-        images = 1 << (_images(n, list(subsets), perms) + shift)
+        images = 1 << (_images(n, subsets, perms) + shift)
         tables += [_or_table(images[low : low + 8]) for low in range(0, len(subsets), 8)]
-    for table in tables:
-        table.flags.writeable = False
     return tuple(tables)
 
 
-def class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> list[int]:
-    """``classes[m]``: the isomorphism classes of candidates with ``m`` edges,
-    computed once per ``(n, subsets)`` and returned as a new list."""
-    return list(_class_counts(n, tuple(map(tuple, c_subsets)), tuple(map(tuple, d_subsets))))
-
-
-@cache
-def _class_counts(n: int, c_subsets: tuple[Edge, ...], d_subsets: tuple[Edge, ...]) -> tuple[int, ...]:
-    """``class_counts`` for hashable subset lists.
+def class_counts(n: int, c_subsets: Sequence[Edge], d_subsets: Sequence[Edge]) -> tuple[int, ...]:
+    """``classes[m]``: the isomorphism classes of candidates with ``m`` edges.
 
     By Polya's counting theorem, the mean over vertex permutations of the
     coefficients of the product of ``1 + x^len`` over the permutation's
@@ -263,8 +247,8 @@ def hypergraph_from_masks(
     n: int,
     c_mask: int,
     d_mask: int,
-    c_subsets: list[tuple[int, ...]],
-    d_subsets: list[tuple[int, ...]],
+    c_subsets: Sequence[Edge],
+    d_subsets: Sequence[Edge],
 ) -> MixedHypergraph:
     c = [c_subsets[i] for i in range(len(c_subsets)) if c_mask >> i & 1]
     d = [d_subsets[i] for i in range(len(d_subsets)) if d_mask >> i & 1]
@@ -310,15 +294,14 @@ def _partition_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 def _kill_tables(
-    n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]
+    n: int, c_subsets: Sequence[Edge], d_subsets: Sequence[Edge]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition bitsets for the candidate space on ``n`` vertices.
 
     Returns the kill masks ORed over every C-mask (a C-edge kills the
     partitions in which it is rainbow), the same over every D-mask (a D-edge
     kills those in which it is monochromatic), and ``_partition_masks``'
-    block-count rows.  The OR tables are built per call: at n=6 a C table
-    can hold 32 MiB.
+    block-count rows.
     """
     _, rainbow, mono, blocks = _partition_masks(n)
     return _or_table(rainbow[_bitmasks(c_subsets)]), _or_table(mono[_bitmasks(d_subsets)]), blocks
@@ -392,6 +375,24 @@ def _layer_until(flat: int, d_order: np.ndarray) -> np.ndarray:
 # --- search -----------------------------------------------------------------
 
 
+# what a search reads that no target set changes; ``d_order`` lists the
+# D-masks by edge count, then mask
+_Space = namedtuple("_Space", "c_subsets d_subsets classes kill_c kill_d blocks keys d_order")
+
+
+@lru_cache(maxsize=1)
+def _space(n: int, c_size: int, d_size: int) -> _Space:
+    """The candidate space on ``n`` vertices with the given edge sizes, built
+    whole and read-only.  Only the last space is kept."""
+    c_subsets, d_subsets = tuple(edge_subsets(n, c_size)), tuple(edge_subsets(n, d_size))
+    kills = _kill_tables(n, c_subsets, d_subsets)
+    keys = _key_tables(n, c_subsets, d_subsets)
+    d_order = np.argsort(np.bitwise_count(np.arange(1 << len(d_subsets))), kind="stable")
+    for table in (*kills, *keys, d_order):
+        table.flags.writeable = False
+    return _Space(c_subsets, d_subsets, class_counts(n, c_subsets, d_subsets), *kills, keys, d_order)
+
+
 def bounded_minimality_search(
     ts: TargetSet,
     n: int,
@@ -410,24 +411,24 @@ def bounded_minimality_search(
     the search runs vectorised in this process and starts no workers.
     """
     budget = budget or SearchBudget()
+    if type(n) is not int:
+        raise ValueError("vertex count must be an int")
     if n < 1:
         raise ValueError("vertex count must be positive")
     if n > VERTEX_CAP:
         raise ValueError(f"n={n} exceeds the search cap of {VERTEX_CAP} vertices")
 
-    c_subsets = edge_subsets(n, budget.c_edge_size)
-    d_subsets = edge_subsets(n, budget.d_edge_size)
-    nc, nd = len(c_subsets), len(d_subsets)
-    total = 1 << (nc + nd)
+    total = 1 << (comb(n, budget.c_edge_size) + comb(n, budget.d_edge_size))
     if total > budget.max_candidates:
         return SearchReport(Outcome.BUDGET_EXCEEDED, None, 0, 0.0)
 
-    classes = class_counts(n, c_subsets, d_subsets)
-    exhausted = SearchReport(Outcome.EXHAUSTED, None, total, (total - sum(classes)) / total)
+    space = _space(n, budget.c_edge_size, budget.d_edge_size)
+    kill_c, kill_d, blocks, d_order = space.kill_c, space.kill_d, space.blocks, space.d_order
+    nc, nd = len(space.c_subsets), len(space.d_subsets)
+    exhausted = SearchReport(Outcome.EXHAUSTED, None, total, (total - sum(space.classes)) / total)
     # a target above n needs more blocks than vertices: nothing can hit
     if max(ts.values) > n:
         return exhausted
-    kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
     want = np.array([k in ts.values for k in range(1, n + 1)])
     # only the C and D kill masks that can be part of a hit meet in _hits
     rows = max(1, _ENTRIES // kill_c.shape[1])
@@ -438,9 +439,8 @@ def bounded_minimality_search(
         return exhausted
     # live C-masks with equal kill masks hit with the same D-masks
     survivors, row_of = _distinct_rows(kill_c[live])
-    # D-masks by edge count, then mask: a kill mask's first hit in this order
-    # has the fewest D-edges, and position 1 << nd stands for no hit
-    d_order = np.argsort(np.bitwise_count(np.arange(1 << nd)), kind="stable")
+    # in the D-order a kill mask's first hit has the fewest D-edges, and
+    # position 1 << nd stands for no hit
     found = np.full(len(survivors), 1 << nd)
     step = max(1, _ENTRIES // survivors.size)
     for at in range(0, 1 << nd, step):
@@ -465,6 +465,7 @@ def bounded_minimality_search(
     # isomorphic candidates have equal edge counts: every class of the layers
     # below is complete, and the layer prefix holds each class it meets at its
     # smallest id, which is the class's key
-    unique = sum(classes[:m]) + int((canonical_keys(n, c_subsets, d_subsets, layer) == layer).sum())
-    witness = hypergraph_from_masks(n, mask_c, mask_d, c_subsets, d_subsets)
+    keys = canonical_keys(n, budget.c_edge_size, budget.d_edge_size, layer)
+    unique = sum(space.classes[:m]) + int((keys == layer).sum())
+    witness = hypergraph_from_masks(n, mask_c, mask_d, space.c_subsets, space.d_subsets)
     return SearchReport(Outcome.WITNESS_FOUND, witness, examined, (examined - unique) / examined)

@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import comb
 
@@ -23,6 +26,7 @@ from mixedhg import (
     smallest_one_realization,
 )
 from mixedhg import search
+from mixedhg.documents import to_document
 from mixedhg.search import (
     CANDIDATE_CAP,
     _can_hit,
@@ -94,6 +98,13 @@ class TestBudget:
         with pytest.raises(ValueError, match="max_candidates"):
             SearchBudget(max_candidates=CANDIDATE_CAP + 1)
 
+    @pytest.mark.parametrize("field", ["c_edge_size", "d_edge_size", "max_candidates"])
+    @pytest.mark.parametrize("value", [3.0, 2.5, True, "3", None])
+    def test_non_int_fields_are_rejected(self, field, value):
+        # a float or bool would also share _space's cache key with an int
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            SearchBudget(**{field: value})
+
     def test_fields_are_keyword_only(self):
         with pytest.raises(TypeError):
             SearchBudget(5, 3, 2)
@@ -129,6 +140,11 @@ class TestBoundedSearch:
     def test_vertex_cap_is_an_error(self):
         with pytest.raises(ValueError, match="n=7 exceeds the search cap of 6 vertices"):
             bounded_minimality_search(TargetSet((4, 2)), 7)
+
+    @pytest.mark.parametrize("n", [True, False, 5.0, "5"])
+    def test_non_int_vertex_count_is_an_error(self, n):
+        with pytest.raises(ValueError, match="vertex count must be an int"):
+            bounded_minimality_search(TargetSet((4, 2)), n)
 
     def test_six_vertices_need_only_the_candidate_budget(self):
         # the default sizes give 2^35 candidates at n=6 (test_pinned_reports
@@ -257,7 +273,7 @@ class TestCanonicalKeys:
         c_subsets = edge_subsets(n, 3)
         d_subsets = edge_subsets(n, 2)
         nd = len(d_subsets)
-        keys = canonical_keys(n, c_subsets, d_subsets, np.arange(1 << (len(c_subsets) + nd)))
+        keys = canonical_keys(n, 3, 2, np.arange(1 << (len(c_subsets) + nd)))
         by_key: dict[int, list[int]] = {}
         for flat, key in enumerate(keys.tolist()):
             by_key.setdefault(key, []).append(flat)
@@ -274,7 +290,7 @@ class TestCanonicalKeys:
         c_subsets = edge_subsets(n, 3)
         d_subsets = edge_subsets(n, 2)
         nd = len(d_subsets)
-        keys = canonical_keys(n, c_subsets, d_subsets, np.arange(1 << (len(c_subsets) + nd)))
+        keys = canonical_keys(n, 3, 2, np.arange(1 << (len(c_subsets) + nd)))
         reps: dict[int, int] = {}
         for flat, key in enumerate(keys.tolist()):
             reps.setdefault(key, flat)
@@ -293,22 +309,22 @@ class TestCanonicalKeys:
         total = 1 << (len(c_subsets) + len(d_subsets))
         flats = np.array(sorted(random.Random(n).sample(range(total), min(total, 3000))))
         expected = per_permutation_keys(n, c_subsets, d_subsets, flats)
-        assert (canonical_keys(n, c_subsets, d_subsets, flats) == expected).all()
+        assert (canonical_keys(n, c_size, d_size, flats) == expected).all()
 
     def test_small_chunks_give_the_same_keys(self, monkeypatch):
         n = 4
         c_subsets, d_subsets = edge_subsets(n, 3), edge_subsets(n, 2)
         flats = np.arange(1 << (len(c_subsets) + len(d_subsets)))
-        whole = canonical_keys(n, c_subsets, d_subsets, flats)
+        whole = canonical_keys(n, 3, 2, flats)
         monkeypatch.setattr(search, "_ENTRIES", 7 * 24)  # 7 candidates of 24 permutations a chunk
-        assert (canonical_keys(n, c_subsets, d_subsets, flats) == whole).all()
+        assert (canonical_keys(n, 3, 2, flats) == whole).all()
 
     def test_identity_key_bounds(self):
         n = 4
         c_subsets = edge_subsets(n, 3)
         d_subsets = edge_subsets(n, 2)
         nd = len(d_subsets)
-        keys = canonical_keys(n, c_subsets, d_subsets, np.arange(1 << (len(c_subsets) + nd)))
+        keys = canonical_keys(n, 3, 2, np.arange(1 << (len(c_subsets) + nd)))
         flat = np.arange(len(keys), dtype=np.int64)
         # canonical form never exceeds the candidate's own packed masks
         assert (keys <= flat).all()
@@ -326,7 +342,7 @@ def class_scan(ts, n, c_size, d_size):
     nd = len(d_subsets)
     total = 1 << (len(c_subsets) + nd)
     order = sorted(range(total), key=lambda f: (f.bit_count(), f))
-    keys = canonical_keys(n, c_subsets, d_subsets, np.arange(total))
+    keys = canonical_keys(n, c_size, d_size, np.arange(total))
     seen = set()
     for pos, flat in enumerate(order):
         if keys[flat] in seen:
@@ -415,10 +431,10 @@ class TestKillMasks:
         for c_size, d_size in itertools.product(range(2, n + 1), repeat=2):
             c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
             flats = np.arange(1 << (len(c_subsets) + len(d_subsets)))
-            keys = canonical_keys(n, c_subsets, d_subsets, flats)
+            keys = canonical_keys(n, c_size, d_size, flats)
             edges = np.bitwise_count(flats)
             expected = [len(np.unique(keys[edges == m])) for m in range(len(c_subsets) + len(d_subsets) + 1)]
-            assert class_counts(n, c_subsets, d_subsets) == expected, (c_size, d_size)
+            assert class_counts(n, c_subsets, d_subsets) == tuple(expected), (c_size, d_size)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_kill_tables_match_the_definition(self, n):
@@ -511,56 +527,82 @@ class TestSharedTables:
         with pytest.raises(ValueError, match="read-only"):
             _kill_tables(5, edge_subsets(5, 3), edge_subsets(5, 2))[2][0] = 0
 
-    def test_class_counts_are_new_lists(self):
-        c_subsets, d_subsets = edge_subsets(4, 3), edge_subsets(4, 2)
-        counts = class_counts(4, c_subsets, d_subsets)
-        expected = list(counts)
-        counts[0] = -1
-        counts.append(7)
-        assert class_counts(4, c_subsets, d_subsets) == expected
-
-    def test_key_tables_are_read_only(self):
-        c_subsets, d_subsets = tuple(edge_subsets(5, 3)), tuple(edge_subsets(5, 2))
-        tables = search._key_tables(5, c_subsets, d_subsets)
-        assert search._key_tables(5, c_subsets, d_subsets) is tables
-        # one table per byte of the C-mask and of the D-mask, a column per permutation
-        assert [table.shape for table in tables] == [(256, 120), (4, 120)] * 2
-        assert sum(table.nbytes for table in tables) == 499_200
-        for table in tables:
+    def test_space_is_read_only(self):
+        space = search._space(5, 3, 2)
+        assert search._space(5, 3, 2) is space
+        assert space.classes == class_counts(5, space.c_subsets, space.d_subsets)
+        assert isinstance(space.classes, tuple)
+        assert isinstance(space.c_subsets, tuple) and isinstance(space.d_subsets, tuple)
+        # one key table per byte of the C-mask and of the D-mask, a column per permutation
+        assert [table.shape for table in space.keys] == [(256, 120), (4, 120)] * 2
+        assert sum(table.nbytes for table in space.keys) == 499_200
+        arrays = [value for value in space if isinstance(value, np.ndarray)] + list(space.keys)
+        assert len(arrays) == 8
+        for table in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
     def test_warm_and_cold_keys_agree(self):
-        c_subsets, d_subsets = edge_subsets(5, 2), edge_subsets(5, 3)
         flats = np.array(sorted(random.Random(7).sample(range(1 << 20), 2000)))
-        search._key_tables.cache_clear()
-        cold = canonical_keys(5, c_subsets, d_subsets, flats)
-        assert search._key_tables.cache_info().misses == 1
-        warm = canonical_keys(5, c_subsets, d_subsets, flats)
-        assert search._key_tables.cache_info().hits == 1
+        search._space.cache_clear()
+        cold = canonical_keys(5, 2, 3, flats)
+        assert search._space.cache_info().misses == 1
+        warm = canonical_keys(5, 2, 3, flats)
+        assert search._space.cache_info().hits == 1
         assert (cold == warm).all()
-        assert (cold == per_permutation_keys(5, c_subsets, d_subsets, flats)).all()
+        assert (cold == per_permutation_keys(5, edge_subsets(5, 2), edge_subsets(5, 3), flats)).all()
 
-    def test_one_key_table_set_is_kept(self):
-        search._key_tables.cache_clear()
+    def test_one_space_is_kept(self):
+        search._space.cache_clear()
         # two witness searches on different vertex counts and edge sizes
         assert bounded_minimality_search(TargetSet((3, 2)), 5).outcome is Outcome.WITNESS_FOUND
         budget = SearchBudget(c_edge_size=6, d_edge_size=2)
         assert bounded_minimality_search(TargetSet((6, 5)), 6, budget).outcome is Outcome.WITNESS_FOUND
-        info = search._key_tables.cache_info()
+        info = search._space.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (2, 1, 1)
 
+    def test_rejected_searches_build_no_space(self):
+        search._space.cache_clear()
+        assert bounded_minimality_search(TargetSet((4, 2)), 5).outcome is Outcome.EXHAUSTED
+        info = search._space.cache_info()
+        # the default sizes at n=6 exceed the budget before any space is built
+        assert bounded_minimality_search(TargetSet((4, 2)), 6).outcome is Outcome.BUDGET_EXCEEDED
+        with pytest.raises(ValueError, match="exceeds the search cap"):
+            bounded_minimality_search(TargetSet((4, 2)), 7)
+        with pytest.raises(ValueError, match="must be an int"):
+            bounded_minimality_search(TargetSet((4, 2)), True)
+        with pytest.raises(ValueError, match="must be an int"):
+            bounded_minimality_search(TargetSet((4, 2)), 5, SearchBudget(c_edge_size=3.0))
+        assert search._space.cache_info() == info
+
     def test_no_state_leaks_between_searches(self):
-        # the pinned n=5 searches, from empty caches, in two orders
-        cases = [TargetSet(values) for values in ((4, 2), (5, 3), (5, 4), (4, 3, 2))]
-        runs = []
+        # the pinned n=5 searches and CI's two exhausted 2^26-candidate n=6
+        # spaces, from an empty cache, in two orders: each order reuses a
+        # retained 32 MiB space once, then replaces it
+        cases = [((4, 2), 5, 3, 2), ((5, 3), 5, 3, 2), ((5, 4), 5, 3, 2), ((4, 3, 2), 5, 3, 2),
+                 ((4, 2), 6, 5, 3), ((4, 3), 6, 5, 3), ((3, 2), 6, 3, 5)]
+
+        def run(values, n, c_size, d_size):
+            budget = SearchBudget(c_edge_size=c_size, d_edge_size=d_size, max_candidates=CANDIDATE_CAP)
+            report = bounded_minimality_search(TargetSet(values), n, budget)
+            witness = to_document(report.witness) if report.witness is not None else None
+            return report.outcome.value, report.examined, report.dedup_ratio, witness
+
+        def fresh(values, n, c_size, d_size):
+            args = ["--set", ",".join(map(str, values)), "--n", str(n), "--c-size", str(c_size),
+                    "--d-size", str(d_size), "--max-candidates", str(CANDIDATE_CAP), "--format", "json"]
+            out = subprocess.run([sys.executable, "-m", "mixedhg.cli", "search-min", *args],
+                                 capture_output=True, text=True, check=True).stdout
+            report = json.loads(out)
+            return report["outcome"], report["examined"], report["dedup_ratio"], report["witness"]
+
+        expected = {case: fresh(*case) for case in cases}
         for order in (cases, cases[::-1]):
             search._partition_masks.cache_clear()
-            search._class_counts.cache_clear()
-            search._key_tables.cache_clear()
-            runs.append({ts: bounded_minimality_search(ts, 5) for ts in order})
-        assert runs[0] == runs[1]
-        assert [runs[0][ts].examined for ts in cases] == [1048576, 1048576, 263951, 139116]
+            search._space.cache_clear()
+            assert {case: run(*case) for case in order} == expected
+            assert search._space.cache_info().misses == 3
+        assert [expected[case][1] for case in cases] == [1048576, 1048576, 263951, 139116] + [67108864] * 3
 
 
 def d_order(nd):
