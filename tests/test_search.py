@@ -527,15 +527,36 @@ class TestSharedTables:
         with pytest.raises(ValueError, match="read-only"):
             _kill_tables(5, edge_subsets(5, 3), edge_subsets(5, 2))[2][0] = 0
 
+    def test_class_counts_are_new_lists(self):
+        c_subsets, d_subsets = edge_subsets(4, 3), edge_subsets(4, 2)
+        counts = class_counts(4, c_subsets, d_subsets)
+        assert class_counts(4, c_subsets, d_subsets) is not counts
+        # a caller's list of the counts is its own
+        expected = list(counts)
+        changed = list(counts)
+        changed[0] = -1
+        changed.append(7)
+        assert list(class_counts(4, c_subsets, d_subsets)) == expected
+        # the space's counts are the builder's, frozen
+        space = search._space(4, 3, 2)
+        assert space.classes == counts and isinstance(space.classes, tuple)
+
+    def test_key_tables_are_read_only(self):
+        space = search._space(5, 3, 2)
+        # one table per byte of the C-mask and of the D-mask, a column per permutation
+        assert [table.shape for table in space.keys] == [(256, 120), (4, 120)] * 2
+        assert sum(table.nbytes for table in space.keys) == 499_200
+        built = search._key_tables(5, space.c_subsets, space.d_subsets)
+        assert all((a == b).all() for a, b in zip(built, space.keys, strict=True))
+        for table in space.keys:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
     def test_space_is_read_only(self):
         space = search._space(5, 3, 2)
         assert search._space(5, 3, 2) is space
         assert space.classes == class_counts(5, space.c_subsets, space.d_subsets)
-        assert isinstance(space.classes, tuple)
         assert isinstance(space.c_subsets, tuple) and isinstance(space.d_subsets, tuple)
-        # one key table per byte of the C-mask and of the D-mask, a column per permutation
-        assert [table.shape for table in space.keys] == [(256, 120), (4, 120)] * 2
-        assert sum(table.nbytes for table in space.keys) == 499_200
         arrays = [value for value in space if isinstance(value, np.ndarray)] + list(space.keys)
         assert len(arrays) == 8
         for table in arrays:
