@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / verified, 1 verification negative, 2 invalid input or
-budget violation.  Reports on stdout are deterministic (``--jobs`` and timing
-never change them, and no command starts worker processes); timing goes to
-stderr.  The argument parser is built once per process, on the first call of
-``main``, and reused by every later call.
+budget violation.  Reports on stdout are deterministic (timing never changes
+them, and no command starts worker processes); timing goes to stderr.  The
+argument parser is built once per process, on the first call of ``main``, and
+reused by every later call.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     h, sha256 = documents.load_hashed(args.input)
     started = time.perf_counter()
-    spectrum = coloring.chromatic_spectrum(h, jobs=args.jobs)
+    spectrum = coloring.chromatic_spectrum(h)
     total = sum(spectrum.counts)
     if args.list_colorings and total > coloring.LIST_CAP:
         print(f"error: {total} feasible partitions exceed the listing cap of {coloring.LIST_CAP}", file=sys.stderr)
         return 2
-    partitions = coloring.all_feasible_partitions(h, jobs=args.jobs) if args.list_colorings else None
+    partitions = coloring.all_feasible_partitions(h) if args.list_colorings else None
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
     report = _spectrum_report(args.input, sha256, h, spectrum, partitions)
     if args.format == "json":
@@ -153,7 +153,7 @@ def _cmd_search_min(args: argparse.Namespace) -> int:
         d_edge_size=args.d_size,
         max_candidates=args.max_candidates,
     )
-    report = search.bounded_minimality_search(ts, args.n, budget, jobs=args.jobs)
+    report = search.bounded_minimality_search(ts, args.n, budget)
     witness_doc = documents.to_document(report.witness) if report.witness is not None else None
     if args.format == "json":
         _print_json(
@@ -216,10 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="chromatic spectrum of a document")
     p.add_argument("input", help="hypergraph document")
     p.add_argument("--list-colorings", action="store_true", help="include every feasible partition")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted for compatibility; counting and listing start no processes",
-    )
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -231,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-min", help="bounded exhaustive search for small one-realizations")
     p.add_argument("--set", required=True, help="target set, e.g. 3,2")
     p.add_argument("--n", type=int, required=True, help="vertex count to search")
-    p.add_argument("--jobs", type=int, default=1, help="accepted like spectrum's; the search starts no processes")
     budget = search.SearchBudget()
     p.add_argument("--c-size", type=int, default=budget.c_edge_size, help="uniform C-edge size")
     p.add_argument("--d-size", type=int, default=budget.d_edge_size, help="uniform D-edge size")
@@ -257,9 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
     args = _build_parser().parse_args(argv if argv is None else list(argv))
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

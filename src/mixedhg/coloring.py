@@ -11,8 +11,10 @@ row at once.  The listed ``Partition`` objects are built in bulk from the
 checked rows, with the process's cyclic garbage collector paused while they
 are made (re-enabled afterwards only if it was enabled; a thread that runs
 meanwhile runs with it paused too).  Counting is a frontier dynamic programme
-along one greedy vertex order, and never visits a partition one by one.
-Every operation runs in this process: ``jobs`` is accepted and starts no
+along one greedy vertex order, and never visits a partition one by one; it
+has quick rules for D-pairs and C-triples, the edges of the paper's
+constructions, and one general rule per kind for every other edge.  Every
+operation runs in this process: ``jobs`` is accepted, ignored, and starts no
 workers.
 """
 
@@ -309,18 +311,18 @@ def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[in
     frontier: list[int] = []  # the open steps, in order
     slot = list(range(n))  # each open step's position in the frontier labels
     for i in range(n):
-        # a pair names one block the new vertex must join (C) or avoid (D), a
-        # triple two blocks compared with each other; a longer edge is tested
-        # on the set of its other members' blocks
+        # a D-pair names one block the new vertex must avoid, a C-triple two
+        # blocks compared with each other (the paper's shapes); any other edge
+        # is tested on the set of its other members' blocks
         whole = len(frontier) == i  # every earlier step is open: slots are steps
-        same, c_pairs, c_longer = [], [], []
+        c_pairs, c_longer = [], []
         for others in c_closing[i]:
             js = others if whole else [slot[t] for t in others]
-            (same if len(js) == 1 else c_pairs if len(js) == 2 else c_longer).append(js)
-        differ, d_pairs, d_longer = [], [], []
+            (c_pairs if len(js) == 2 else c_longer).append(js)
+        differ, d_longer = [], []
         for others in d_closing[i]:
             js = others if whole else [slot[t] for t in others]
-            (differ if len(js) == 1 else d_pairs if len(js) == 2 else d_longer).append(js)
+            (differ if len(js) == 1 else d_longer).append(js)
         kept = [j for j, t in enumerate(frontier) if leave[t] > i]
         drops = len(kept) < len(frontier)
         stays = leave[i] > i
@@ -337,18 +339,12 @@ def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[in
             allowed = (1 << a) - 1  # bit x: the new vertex may join frontier block x
             for (j,) in differ:
                 allowed &= ~(1 << labels[j])
-            for (j,) in same:
-                allowed &= 1 << labels[j]
-            fresh = not same  # whether it may take a block without frontier vertices
+            fresh = True  # whether it may take a block without frontier vertices
             for j, l in c_pairs:
                 x, y = labels[j], labels[l]
                 if x != y:  # rainbow so far: the new vertex must repeat one
                     allowed &= 1 << x | 1 << y
                     fresh = False
-            for j, l in d_pairs:
-                x = labels[j]
-                if x == labels[l]:  # monochromatic so far: the new vertex must differ
-                    allowed &= ~(1 << x)
             for js in c_longer:
                 seen = {labels[j] for j in js}
                 if len(seen) == len(js):

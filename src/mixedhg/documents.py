@@ -73,7 +73,7 @@ def dumps(h: MixedHypergraph) -> str:
 def loads(text: str) -> MixedHypergraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting is the latter
         raise ValueError(f"not valid JSON: {exc}") from exc
     return from_document(doc)
 

@@ -387,7 +387,8 @@ def _space(n: int, c_size: int, d_size: int) -> _Space:
     c_subsets, d_subsets = tuple(edge_subsets(n, c_size)), tuple(edge_subsets(n, d_size))
     kills = _kill_tables(n, c_subsets, d_subsets)
     keys = _key_tables(n, c_subsets, d_subsets)
-    d_order = np.argsort(np.bitwise_count(np.arange(1 << len(d_subsets))), kind="stable")
+    # int32: D-masks are below 2^20, as 6 vertices have at most 20 D-subsets
+    d_order = np.argsort(np.bitwise_count(np.arange(1 << len(d_subsets))), kind="stable").astype(np.int32)
     for table in (*kills, *keys, d_order):
         table.flags.writeable = False
     return _Space(c_subsets, d_subsets, class_counts(n, c_subsets, d_subsets), *kills, keys, d_order)

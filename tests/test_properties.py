@@ -34,9 +34,9 @@ from _oracles import (
 @st.composite
 def hypergraphs(draw, max_n=6):
     n = draw(st.integers(min_value=1, max_value=max_n))
-    pool = list(itertools.combinations(range(n), 2))
-    if n >= 3:
-        pool += list(itertools.combinations(range(n), 3))
+    # edges of 2, 3 and 4 vertices of both kinds: the counting programme's
+    # D-pair and C-triple rules and its general rule for every other shape
+    pool = [e for size in (2, 3, 4) for e in itertools.combinations(range(n), size)]
     edges = st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
     return MixedHypergraph(n, draw(edges), draw(edges))
 

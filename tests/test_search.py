@@ -559,6 +559,8 @@ class TestSharedTables:
         assert isinstance(space.c_subsets, tuple) and isinstance(space.d_subsets, tuple)
         arrays = [value for value in space if isinstance(value, np.ndarray)] + list(space.keys)
         assert len(arrays) == 8
+        assert space.d_order.dtype == np.int32
+        assert space.d_order.tolist() == d_order(len(space.d_subsets)).tolist()
         for table in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
@@ -627,8 +629,8 @@ class TestSharedTables:
 
 
 def d_order(nd):
-    """The D-masks by edge count, then mask, as the search orders them."""
-    return np.argsort(np.bitwise_count(np.arange(1 << nd)), kind="stable")
+    """The D-masks by edge count, then mask, as the search orders and keeps them."""
+    return np.argsort(np.bitwise_count(np.arange(1 << nd)), kind="stable").astype(np.int32)
 
 
 def as_int(row):
