@@ -25,14 +25,14 @@ from .constructions import (
     minimum_size,
     smallest_one_realization,
 )
-from .core import MixedHypergraph, are_isomorphic
+from .core import MixedHypergraph, _quote, are_isomorphic
 
 
 def _parse_ints(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"--set expects comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--set expects comma-separated integers, got {_quote(text)}") from None
 
 
 def _parse_target_set(text: str) -> TargetSet:

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Label, MixedHypergraph
+from .core import Label, MixedHypergraph, _quote
 from .coloring import Partition, is_gap_free
 
 # The largest minimum size ``mixedhg construct`` builds.  At the cap a build
@@ -41,13 +41,13 @@ class TargetSet:
         try:
             vals = tuple(sorted(self.values, reverse=True))
         except TypeError as exc:
-            raise ValueError(f"target set {self.values!r} must be integers") from exc
+            raise ValueError(f"target set {_quote(self.values)} must be integers") from exc
         if len(set(vals)) != len(vals):
-            raise ValueError(f"target set {sorted(self.values)} has duplicate values")
+            raise ValueError(f"target set {_quote(sorted(self.values))} has duplicate values")
         if len(vals) < 2:
             raise ValueError("target set needs at least two values")
         if not all(isinstance(v, int) for v in vals) or vals[-1] < 2:
-            raise ValueError(f"target set values must be integers >= 2, got {sorted(vals)}")
+            raise ValueError(f"target set values must be integers >= 2, got {_quote(sorted(vals))}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -199,5 +199,5 @@ def is_realizable_set(values: Iterable[int]) -> bool:
     if not vs:
         raise ValueError("the empty set is not a candidate feasible set")
     if any(type(v) is not int or v < 1 for v in vs):
-        raise ValueError(f"feasible-set values must be positive integers, got {sorted(vs)}")
+        raise ValueError(f"feasible-set values must be positive integers, got {_quote(sorted(vs))}")
     return 1 not in vs or is_gap_free(vs)

@@ -14,6 +14,16 @@ Label = tuple[int, ...]
 # The exhaustive isomorphism backtracking is exact but only sized for small
 # instances; everything this package generates stays well below the cap.
 ISO_VERTEX_CAP = 12
+# the most bytes of UTF-8 an error message quotes of one input value
+QUOTE_BYTES = 64
+
+
+def _quote(value: object) -> str:
+    """``repr(value)``, cut to ``QUOTE_BYTES`` bytes with ``...`` marking the
+    cut, so an error message stays short whatever input it quotes."""
+    text = repr(value)
+    data = text.encode()
+    return text if len(data) <= QUOTE_BYTES else data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
 
 
 def _first_bad_edge(rows: list[tuple], n: int, kind: str) -> Optional[str]:
@@ -22,7 +32,7 @@ def _first_bad_edge(rows: list[tuple], n: int, kind: str) -> Optional[str]:
     for raw in rows:
         for v in raw:
             if type(v) is not int or not 0 <= v < n:
-                return f"{kind}-edge {list(raw)}: vertex {v!r} out of range 0..{n - 1}"
+                return f"{kind}-edge {_quote(list(raw))}: vertex {_quote(v)} out of range 0..{_quote(n - 1)}"
         members = sorted(set(raw))
         if len(members) < 2:
             return f"{kind}-edge {members}: an edge needs at least two vertices"
@@ -73,7 +83,7 @@ class MixedHypergraph:
 
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+            raise ValueError(f"vertex count must be a positive integer, got {_quote(self.n)}")
         object.__setattr__(self, "c_edges", _canonical_edges(self.c_edges, self.n, "C"))
         object.__setattr__(self, "d_edges", _canonical_edges(self.d_edges, self.n, "D"))
         if self.labels is not None:
@@ -82,10 +92,10 @@ class MixedHypergraph:
             except TypeError:
                 raise ValueError("labels must be a list of integer tuples") from None
             if len(labs) != self.n:
-                raise ValueError(f"got {len(labs)} labels for {self.n} vertices")
+                raise ValueError(f"got {len(labs)} labels for {_quote(self.n)} vertices")
             for lab in labs:
                 if not all(type(x) is int for x in lab):
-                    raise ValueError(f"label {lab!r} must be a tuple of integers")
+                    raise ValueError(f"label {_quote(lab)} must be a tuple of integers")
             if len(set(labs)) != len(labs):
                 raise ValueError("vertex labels must be distinct")
             object.__setattr__(self, "labels", labs)
@@ -110,7 +120,7 @@ class MixedHypergraph:
         if not xs:
             raise ValueError("derived sub-hypergraph needs a nonempty vertex set")
         if xs[0] < 0 or xs[-1] >= self.n:
-            raise ValueError(f"vertex set {xs} not contained in 0..{self.n - 1}")
+            raise ValueError(f"vertex set {_quote(xs)} not contained in 0..{self.n - 1}")
         inside = set(xs)
         pos = {v: i for i, v in enumerate(xs)}
         c = [tuple(pos[v] for v in e) for e in self.c_edges if inside.issuperset(e)]
@@ -130,7 +140,7 @@ class MixedHypergraph:
         """Relabel vertices: old vertex ``v`` becomes ``perm[v]``."""
         p = tuple(perm)
         if sorted(p) != list(range(self.n)):
-            raise ValueError(f"{p} is not a permutation of 0..{self.n - 1}")
+            raise ValueError(f"{_quote(p)} is not a permutation of 0..{self.n - 1}")
         c = [tuple(p[v] for v in e) for e in self.c_edges]
         d = [tuple(p[v] for v in e) for e in self.d_edges]
         labs: Optional[list[Label]] = None
@@ -148,7 +158,7 @@ class MixedHypergraph:
         try:
             return self.labels.index(want)
         except ValueError:
-            raise ValueError(f"no vertex labeled {want}") from None
+            raise ValueError(f"no vertex labeled {_quote(want)}") from None
 
 
 @dataclass(frozen=True)

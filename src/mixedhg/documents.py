@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Any, Union
 
-from .core import MixedHypergraph
+from .core import MixedHypergraph, _quote
 
 FORMAT_VERSION = 1
 # above every hypergraph the package builds (``construct`` writes at most 257
@@ -46,7 +46,7 @@ def from_document(doc: Any) -> MixedHypergraph:
             raise ValueError(f"document is missing '{key}'")
     v = doc["format_version"]
     if type(v) is not int or v != FORMAT_VERSION:  # true and 1.0 equal 1 but are not version 1
-        raise ValueError(f"unsupported format_version {v!r}")
+        raise ValueError(f"unsupported format_version {_quote(v)}")
     if type(doc["vertex_count"]) is int and doc["vertex_count"] > VERTEX_CAP:
         raise ValueError(f"vertex_count exceeds the document cap of {VERTEX_CAP}")
     return MixedHypergraph(doc["vertex_count"], doc["c_edges"], doc["d_edges"], doc.get("labels"))

@@ -15,7 +15,10 @@ they told apart by a canonical form (the smallest id in the candidate's
 isomorphism class).  Only the hit tests depend on the target set; the rest
 is kept for later searches in two caches.  Per ``n``: the Bell(n)
 partitions, every vertex subset's rainbow and monochromatic partition masks
-and the block-count rows (``_partition_masks``).  For the last ``n`` and
+and the block-count rows (``_partition_masks``); the subset masks come from
+one recurrence that adds a subset's top vertex to the masks of the rest,
+reading only the packed rows of the partitions in which two vertices share
+a block, so they stay small past the search's cap.  For the last ``n`` and
 pair of edge sizes searched: the candidate space (``_space``), that is the
 edge subsets, the class counts, the kill tables, the canonical form's OR
 tables and the D-order.  README "Limits" gives their sizes.  The uniform
@@ -273,6 +276,16 @@ def _partition_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     indexed by its vertex bitmask, the partitions in which it is rainbow and
     those in which it is monochromatic; and one row per block count
     ``k = 1..n`` holding the partitions with ``k`` blocks.
+
+    The subset masks follow one recurrence over the subsets ``s | v`` with
+    every member of ``s`` below ``v``, from ``same[u, v]``, the partitions in
+    which ``u`` and ``v`` share a block: ``s | v`` is rainbow where ``s`` is
+    and ``v`` shares no member's block (``_or_table`` ORs ``same[u, v]``
+    over the members ``u`` of every ``s`` at once), and monochromatic where
+    ``s`` is and ``v`` shares the block of the lowest member of ``s | v``.
+    Past the ``n x n`` pair rows, every working array is a table over the
+    ``2^v`` subsets ``s``, so the build stays within tens of MiB at n=10
+    (README "Limits").
     """
     parts = _partition_rows(MixedHypergraph(n, [], []))
     words = -(-len(parts) // 64)
@@ -283,10 +296,15 @@ def _partition_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
         rows[:, : len(parts)] = bits.T
         return np.packbits(rows, axis=1, bitorder="little").view("<u8")
 
-    # met[s, j]: the blocks of partition j that vertex subset s meets
-    met = np.bitwise_count(_or_table(1 << parts.T.astype(np.int64)))
-    size = np.bitwise_count(np.arange(1 << n))[:, None]
-    rainbow, mono = pack((met == size).T), pack((met <= 1).T)
+    # same[i, j]: the partitions in which vertices i and j share a block
+    same = pack((parts[:, :, None] == parts[:, None, :]).reshape(len(parts), n * n)).reshape(n, n, words)
+    rainbow, mono = np.empty((2, 1 << n, words), dtype=same.dtype)
+    rainbow[0] = mono[0] = same[0, 0]  # every partition
+    for v in range(n):
+        half, top = 1 << v, np.arange(1 << v, 2 << v)
+        rainbow[half : 2 * half] = rainbow[:half] & ~_or_table(same[:v, v])
+        # bitwise_count(t ^ (t - 1)) - 1 is the lowest member of subset t
+        mono[half : 2 * half] = mono[:half] & same[np.bitwise_count(top ^ (top - 1)) - 1, v]
     blocks = pack(parts.max(axis=1)[:, None] + 1 == np.arange(1, n + 1))
     for table in (parts, rainbow, mono, blocks):
         table.flags.writeable = False

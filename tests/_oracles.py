@@ -10,7 +10,9 @@ edge plan and bitmask states, kept as the reference for that engine on
 instances too large for brute force.  The per-edge validation loop and the
 per-row document renderer are the core and document code as they were
 before their bulk checks and one-call rendering.  The per-edge row engine is
-the listing engine as it was before it tested closing edges by group.
+the listing engine as it was before it tested closing edges by group.  The
+popcount build of the partition masks is ``_partition_masks`` as it was
+before its subset recurrence.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from mixedhg import MixedHypergraph, Partition, is_proper
+from mixedhg.coloring import _partition_rows
 from mixedhg.core import Edge
 from mixedhg.constructions import TargetSet
 from mixedhg.documents import to_document
@@ -428,3 +431,23 @@ def stacked_hits(kills: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, want
     for row in blocks[want]:
         hit &= np.bitwise_count(feasible & row).sum(axis=2, dtype=np.uint8) == 1
     return hit
+
+
+def popcount_partition_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``search._partition_masks(n)`` from a 2^n x Bell(n) table of the
+    blocks each vertex subset meets in each partition, counted by popcount."""
+    parts = _partition_rows(MixedHypergraph(n, [], []))
+    words = -(-len(parts) // 64)
+
+    def pack(bits: np.ndarray) -> np.ndarray:
+        """``bits[j, i]`` for partition ``j`` as row ``i`` of packed words."""
+        rows = np.zeros((bits.shape[1], 64 * words), dtype=bool)
+        rows[:, : len(parts)] = bits.T
+        return np.packbits(rows, axis=1, bitorder="little").view("<u8")
+
+    # met[s, j]: the blocks of partition j that vertex subset s meets
+    met = np.bitwise_count(_or_table(1 << parts.T.astype(np.int64)))
+    size = np.bitwise_count(np.arange(1 << n))[:, None]
+    rainbow, mono = pack((met == size).T), pack((met <= 1).T)
+    blocks = pack(parts.max(axis=1)[:, None] + 1 == np.arange(1, n + 1))
+    return parts, rainbow, mono, blocks

@@ -237,6 +237,34 @@ class TestDocumentVertexCap:
         assert loads(stdout).n == 257
 
 
+# documents whose one bad value is huge: its repr would be 0.1-0.8 MB
+HUGE_VALUES = {
+    "nested-edge": {"c_edges": [[0] + [[]] * 200_000]},
+    "wide-edge": {"c_edges": [list(range(100_000))]},
+    "vertex": {"d_edges": [[0, "x" * 100_000]]},
+    "non-ascii-vertex": {"d_edges": [[0, "\u00e9" * 100_000]]},
+    "vertex_count": {"vertex_count": [0] * 100_000},
+    "format_version": {"format_version": "v" * 100_000},
+    "label": {"labels": [[0] * 100_000 + [None], [1]]},
+}
+
+
+class TestErrorSize:
+    @pytest.mark.parametrize("value", sorted(HUGE_VALUES))
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--set", "2"), ("spectrum",), ("gaps",), ("iso", "good.json")], ids=lambda argv: argv[0]
+    )
+    def test_one_short_error_line(self, capsys, tmp_path, monkeypatch, argv, value):
+        monkeypatch.chdir(tmp_path)
+        doc = {"format_version": 1, "vertex_count": 2, "c_edges": [], "d_edges": []} | HUGE_VALUES[value]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        save(MixedHypergraph(2, [], []), tmp_path / "good.json")
+        code, stdout, stderr = run(capsys, argv[0], "bad.json", *argv[1:])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert len(stderr.encode()) < 256, stderr
+
+
 class TestSearchMin:
     def test_witness_found(self, capsys):
         code, stdout, _ = run(capsys, "search-min", "--set", "3,2", "--n", "3", "--format", "json")

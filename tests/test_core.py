@@ -12,7 +12,7 @@ from mixedhg import (
     construct_one,
     is_isomorphism,
 )
-from mixedhg.core import _canonical_edges
+from mixedhg.core import QUOTE_BYTES, _canonical_edges, _quote
 
 from _oracles import per_edge_canonical_edges
 
@@ -161,6 +161,44 @@ class TestBulkEdgeChecks:
         h = construct_one(TargetSet((5, 3, 2)))
         out = _canonical_edges(h.c_edges, h.n, "C")
         assert out == h.c_edges and all(a is b for a, b in zip(out, h.c_edges))
+
+
+class TestErrorSize:
+    def test_quote_cuts_at_a_byte_count(self):
+        assert _quote("x" * (QUOTE_BYTES - 2)) == repr("x" * (QUOTE_BYTES - 2))
+        assert _quote("x" * (QUOTE_BYTES - 1)) == "'" + "x" * (QUOTE_BYTES - 4) + "..."
+        # a cut never splits a character
+        assert _quote("\u00e9" * QUOTE_BYTES) == "'" + "\u00e9" * ((QUOTE_BYTES - 4) // 2) + "..."
+
+    def test_short_messages_are_kept_whole(self):
+        with pytest.raises(ValueError) as info:
+            MixedHypergraph(3, [(0, 1, 2, np.int64(4))])
+        assert str(info.value) == "C-edge [0, 1, 2, np.int64(4)]: vertex np.int64(4) out of range 0..2"
+        with pytest.raises(ValueError) as info:
+            TargetSet((4, 4, 2))
+        assert str(info.value) == "target set [2, 4, 4] has duplicate values"
+
+    def test_huge_inputs_give_short_messages(self):
+        big = list(range(100_000))
+        h = MixedHypergraph(3, [], [], labels=[(0,), (1,), (2,)])
+        calls = [
+            lambda: MixedHypergraph(big),
+            lambda: MixedHypergraph(10**300, [(-1, 0)]),
+            lambda: MixedHypergraph(3, [], [(0, "\u00e9" * 100_000)]),
+            lambda: MixedHypergraph(10**300, labels=[(0,)]),
+            lambda: MixedHypergraph(2, labels=[big + [None], (1,)]),
+            lambda: h.derived_subhypergraph(big),
+            lambda: h.permuted(big),
+            lambda: h.label_index(big),
+            lambda: TargetSet(tuple(big)),
+            lambda: TargetSet((2,) * 100_000),
+            lambda: TargetSet(("x",) * 100_000 + (2,)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            # the CLI prints it as one "error: ..." line
+            assert len(f"error: {info.value}\n".encode()) < 256, str(info.value)
 
 
 class TestDerivedSubhypergraph:

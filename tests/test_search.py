@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -46,6 +47,7 @@ from _oracles import (
     layer_scan_search,
     per_count_layer_until,
     per_permutation_keys,
+    popcount_partition_masks,
     stacked_hits,
 )
 
@@ -518,14 +520,35 @@ class TestWordHits:
 
 class TestSharedTables:
     def test_partition_masks_are_read_only(self):
-        tables = search._partition_masks(5)
-        assert search._partition_masks(5) is tables
-        for table in tables:
+        # n=1 starts the recurrence from an empty subset and a 1 x 1 pair table
+        for n in (1, 5, 7):
+            tables = search._partition_masks(n)
+            assert search._partition_masks(n) is tables
+            for table in tables:
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0
+            # the block-count rows _kill_tables returns are the shared ones
             with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0
-        # the block-count rows _kill_tables returns are the shared ones
-        with pytest.raises(ValueError, match="read-only"):
-            _kill_tables(5, edge_subsets(5, 3), edge_subsets(5, 2))[2][0] = 0
+                _kill_tables(n, edge_subsets(n, 2)[:4], edge_subsets(n, 2)[:4])[2][0] = 0
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_partition_masks_match_the_popcount_build(self, n):
+        # through __wrapped__, so that the session's cache keeps no n=9 tables
+        built = search._partition_masks.__wrapped__(n)
+        for table, expected in zip(built, popcount_partition_masks(n), strict=True):
+            assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+            assert table.flags.c_contiguous and (table == expected).all()
+
+    @pytest.mark.parametrize("n,mib", [(9, 16), (10, 64)])
+    def test_partition_masks_peak_memory(self, n, mib):
+        # the popcount build peaks at 126 MiB at n=9 and about 1 GB at n=10
+        tracemalloc.start()
+        try:
+            search._partition_masks.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib << 20, peak
 
     def test_class_counts_are_new_lists(self):
         c_subsets, d_subsets = edge_subsets(4, 3), edge_subsets(4, 2)
