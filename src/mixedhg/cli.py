@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 import time
-from typing import Iterable, Optional
+from typing import Iterable, NoReturn, Optional
 
 from . import coloring, documents, search
 from .constructions import (
@@ -25,7 +25,20 @@ from .constructions import (
     minimum_size,
     smallest_one_realization,
 )
-from .core import MixedHypergraph, _quote, are_isomorphic
+from .core import MixedHypergraph, _cut, _quote, are_isomorphic
+
+# the most bytes of UTF-8 that a usage error's message keeps
+USAGE_MESSAGE_BYTES = 256
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors keep at most
+    ``USAGE_MESSAGE_BYTES`` of their message, so one that echoes a huge
+    argument stays short; ``add_subparsers`` builds its parsers from the
+    same class."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(_cut(message, USAGE_MESSAGE_BYTES))
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -201,7 +214,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixedhg",
         description="Generate, color, and verify minimum-size one-realizations.",
     )

@@ -18,12 +18,16 @@ ISO_VERTEX_CAP = 12
 QUOTE_BYTES = 64
 
 
-def _quote(value: object) -> str:
-    """``repr(value)``, cut to ``QUOTE_BYTES`` bytes with ``...`` marking the
-    cut, so an error message stays short whatever input it quotes."""
-    text = repr(value)
+def _cut(text: str, limit: int) -> str:
+    """``text`` cut to ``limit`` bytes of UTF-8 with ``...`` marking the cut."""
     data = text.encode()
-    return text if len(data) <= QUOTE_BYTES else data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
+    return text if len(data) <= limit else data[: limit - 3].decode(errors="ignore") + "..."
+
+
+def _quote(value: object) -> str:
+    """``repr(value)``, cut to ``QUOTE_BYTES`` bytes, so an error message
+    stays short whatever input it quotes."""
+    return _cut(repr(value), QUOTE_BYTES)
 
 
 def _first_bad_edge(rows: list[tuple], n: int, kind: str) -> Optional[str]:

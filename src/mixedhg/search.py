@@ -3,7 +3,8 @@
 The search covers every hypergraph on ``n`` vertices whose C-edges all have
 one fixed size and whose D-edges all have another, ordered by edge count and
 then by flat id, and reports the first one-realization of the target set in
-that order.  It decides with partition bitsets (see ``_kill_tables``).  Edges
+that order.  It decides with partition bitsets: a C-mask's kill mask ORs
+the rainbow masks of its edges, a D-mask's the monochromatic ones.  Edges
 only remove partitions, so each side first drops the kill masks that cannot
 be part of any hit (``_can_hit``); the C-masks left with equal kill masks are
 merged, and the D-masks are walked in chunks, each tested against every
@@ -15,13 +16,15 @@ they told apart by a canonical form (the smallest id in the candidate's
 isomorphism class).  Only the hit tests depend on the target set; the rest
 is kept for later searches in two caches.  Per ``n``: the Bell(n)
 partitions, every vertex subset's rainbow and monochromatic partition masks
-and the block-count rows (``_partition_masks``); the subset masks come from
-one recurrence that adds a subset's top vertex to the masks of the rest,
-reading only the packed rows of the partitions in which two vertices share
-a block, so they stay small past the search's cap.  For the last ``n`` and
-pair of edge sizes searched: the candidate space (``_space``), that is the
-edge subsets, the class counts, the kill tables, the canonical form's OR
-tables and the D-order.  README "Limits" gives their sizes.  The uniform
+and the block-count rows (``_partition_masks``), the one source of partition
+structure here: the class counts read their cycle types off its block
+shapes.  The subset masks come from one recurrence that adds a subset's top
+vertex to the masks of the rest, reading only the packed rows of the
+partitions in which two vertices share a block, so they stay small past the
+search's cap.  For the last ``n`` and pair of edge sizes searched: the
+candidate space (``_space``), that is the edge subsets, the class counts,
+every C-mask's and D-mask's kill mask, the canonical form's OR tables and
+the D-order.  README "Limits" gives their sizes.  The uniform
 edge sizes and the small vertex cap make this evidence about minimality,
 not a proof: a non-uniform or larger hypergraph is never examined.
 """
@@ -34,7 +37,7 @@ from enum import Enum
 from functools import cache, lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -161,17 +164,6 @@ def _images(n: int, subsets: Sequence[Edge], perms: np.ndarray) -> np.ndarray:
     return index[(masks[:, None] >> np.arange(n) & 1) @ (1 << perms.T)]
 
 
-def _cycle_types(n: int, largest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """The integer partitions of ``n`` (the cycle types of its permutations),
-    parts descending and at most ``largest``."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in _cycle_types(n - part, part):
-            yield (part,) + rest
-
-
 def canonical_keys(n: int, c_size: int, d_size: int, flats: np.ndarray) -> np.ndarray:
     """Canonical form of the candidates ``flats`` of ``_space(n, c_size, d_size)``.
 
@@ -216,17 +208,21 @@ def class_counts(n: int, c_subsets: Sequence[Edge], d_subsets: Sequence[Edge]) -
     coefficients of the product of ``1 + x^len`` over the permutation's
     cycles on the C-subsets and on the D-subsets.  Those cycles depend only
     on the permutation's own cycle type, so one permutation of each type is
-    expanded, weighted by the ``n! / z`` permutations of that type.
+    expanded.  The cycle types are the block shapes of the partitions of
+    ``_partition_masks(n)``: cycling each block of a partition with block
+    sizes ``l_i`` gives ``prod((l_i - 1)!)`` permutations, so a type's
+    weight, its ``n! / z`` permutations, is that product times the number of
+    partitions of its shape.
     """
+    shapes = Counter(tuple(sorted(np.bincount(row).tolist(), reverse=True)) for row in _partition_masks(n)[0])
     reps, weights = [], []
-    for lengths in _cycle_types(n):
+    for lengths, rows in shapes.items():
         perm: list[int] = []
         for length in lengths:
             start = len(perm)
             perm += [start + (j + 1) % length for j in range(length)]
         reps.append(perm)
-        z = prod(length for length in lengths) * prod(factorial(m) for m in Counter(lengths).values())
-        weights.append(factorial(n) // z)
+        weights.append(rows * prod(factorial(length - 1) for length in lengths))
     fixed = [0] * (len(c_subsets) + len(d_subsets) + 1)
     c_images, d_images = (_images(n, subsets, np.array(reps)).T.tolist() for subsets in (c_subsets, d_subsets))
     for weight, c_image, d_image in zip(weights, c_images, d_images):
@@ -311,20 +307,6 @@ def _partition_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return parts, rainbow, mono, blocks
 
 
-def _kill_tables(
-    n: int, c_subsets: Sequence[Edge], d_subsets: Sequence[Edge]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition bitsets for the candidate space on ``n`` vertices.
-
-    Returns the kill masks ORed over every C-mask (a C-edge kills the
-    partitions in which it is rainbow), the same over every D-mask (a D-edge
-    kills those in which it is monochromatic), and ``_partition_masks``'
-    block-count rows.
-    """
-    _, rainbow, mono, blocks = _partition_masks(n)
-    return _or_table(rainbow[_bitmasks(c_subsets)]), _or_table(mono[_bitmasks(d_subsets)]), blocks
-
-
 def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``table`` in no set order, and ``row_of`` with
     ``distinct[row_of] == table``: sort the rows by their words, keep each
@@ -403,13 +385,14 @@ def _space(n: int, c_size: int, d_size: int) -> _Space:
     """The candidate space on ``n`` vertices with the given edge sizes, built
     whole and read-only.  Only the last space is kept."""
     c_subsets, d_subsets = tuple(edge_subsets(n, c_size)), tuple(edge_subsets(n, d_size))
-    kills = _kill_tables(n, c_subsets, d_subsets)
+    _, rainbow, mono, blocks = _partition_masks(n)
+    kill_c, kill_d = _or_table(rainbow[_bitmasks(c_subsets)]), _or_table(mono[_bitmasks(d_subsets)])
     keys = _key_tables(n, c_subsets, d_subsets)
     # int32: D-masks are below 2^20, as 6 vertices have at most 20 D-subsets
     d_order = np.argsort(np.bitwise_count(np.arange(1 << len(d_subsets))), kind="stable").astype(np.int32)
-    for table in (*kills, *keys, d_order):
+    for table in (kill_c, kill_d, *keys, d_order):
         table.flags.writeable = False
-    return _Space(c_subsets, d_subsets, class_counts(n, c_subsets, d_subsets), *kills, keys, d_order)
+    return _Space(c_subsets, d_subsets, class_counts(n, c_subsets, d_subsets), kill_c, kill_d, blocks, keys, d_order)
 
 
 def bounded_minimality_search(
@@ -468,17 +451,16 @@ def bounded_minimality_search(
         if cols.size:
             hit = _hits(survivors, chunk[cols], blocks, want)
             np.minimum(found, np.where(hit.any(axis=1), at + cols[hit.argmax(axis=1)], 1 << nd), out=found)
-    first = np.full(1 << nc, 1 << nd)  # each C-mask's first hit
-    first[live] = found[row_of]
+    first = found[row_of]  # each live C-mask's first hit
 
-    # the first hit: fewest edges, then the smallest C-mask, then D-mask
+    # the first hit: fewest edges, then the smallest C-mask (live ascends), then D-mask
     d_edges = np.append(np.bitwise_count(d_order), nc + nd + 1)
-    edges = np.bitwise_count(np.arange(1 << nc)) + d_edges[first]
-    mask_c = int(edges.argmin())
-    m = int(edges[mask_c])
+    edges = np.bitwise_count(live) + d_edges[first]
+    best = int(edges.argmin())
+    m = int(edges[best])
     if m > nc + nd:
         return exhausted
-    mask_d = int(d_order[first[mask_c]])
+    mask_c, mask_d = int(live[best]), int(d_order[first[best]])
     layer = _layer_until(mask_c << nd | mask_d, d_order)
     examined = sum(comb(nc + nd, j) for j in range(m)) + len(layer)
     # isomorphic candidates have equal edge counts: every class of the layers

@@ -4,7 +4,9 @@ Nothing here shares code paths with the library's pruned enumeration: the
 partition generator spells out every restricted-growth string, and the
 spectrum oracle filters them with the definitional properness check.  The
 layer-scan minimality search spectrum-tests every candidate in order and
-shares only its unchanged helpers with the pair-table search it checks.  The
+shares only its unchanged helpers with the pair-table search it checks; its
+class counts expand every vertex permutation on its own (Burnside), where
+the library expands one per cycle type.  The
 dict frontier programme is the counting engine as it was before its one-pass
 edge plan and bitmask states, kept as the reference for that engine on
 instances too large for brute force.  The per-edge validation loop and the
@@ -12,16 +14,18 @@ per-row document renderer are the core and document code as they were
 before their bulk checks and one-call rendering.  The per-edge row engine is
 the listing engine as it was before it tested closing edges by group.  The
 popcount build of the partition masks is ``_partition_masks`` as it was
-before its subset recurrence.
+before its subset recurrence.  The product of partition choices decides
+whether a set has a one-realization on ``n`` vertices among all mixed
+hypergraphs, trying every choice with no prune and no symmetry.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
-from itertools import permutations
-from math import factorial, prod
+from itertools import islice, permutations, product
+from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -37,9 +41,8 @@ from mixedhg.search import (
     SearchBudget,
     SearchReport,
     VERTEX_CAP,
-    _cycle_types,
-    _kill_tables,
     _or_table,
+    _partition_masks,
     edge_subsets,
     hypergraph_from_masks,
 )
@@ -295,23 +298,13 @@ def per_permutation_keys(
 def subset_image_class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subsets: list[tuple[int, ...]]) -> list[int]:
     """``classes[m]``: the isomorphism classes of candidates with ``m`` edges.
 
-    By Polya's counting theorem, the mean over vertex permutations of the
+    By Burnside's lemma, the mean over all ``n!`` vertex permutations of the
     coefficients of the product of ``1 + x^len`` over the permutation's
-    cycles on the C-subsets and on the D-subsets.  Those cycles depend only
-    on the permutation's own cycle type, so one permutation of each type is
-    expanded, weighted by the ``n! / z`` permutations of that type.
+    cycles on the C-subsets and on the D-subsets, each permutation expanded
+    on its own.
     """
-    reps, weights = [], []
-    for lengths in _cycle_types(n):
-        perm: list[int] = []
-        for length in lengths:
-            start = len(perm)
-            perm += [start + (j + 1) % length for j in range(length)]
-        reps.append(perm)
-        z = prod(length for length in lengths) * prod(factorial(m) for m in Counter(lengths).values())
-        weights.append(factorial(n) // z)
     fixed = [0] * (len(c_subsets) + len(d_subsets) + 1)
-    for weight, (c_image, d_image) in zip(weights, _subset_images(reps, c_subsets, d_subsets)):
+    for c_image, d_image in _subset_images(permutations(range(n)), c_subsets, d_subsets):
         poly = [1] + [0] * (len(fixed) - 1)
         for image in (c_image, d_image):
             seen = [False] * len(image)
@@ -324,8 +317,20 @@ def subset_image_class_counts(n: int, c_subsets: list[tuple[int, ...]], d_subset
                 if length:
                     for m in range(len(poly) - 1, length - 1, -1):
                         poly[m] += poly[m - length]
-        fixed = [f + weight * p for f, p in zip(fixed, poly)]
+        fixed = [f + p for f, p in zip(fixed, poly)]
     return [f // factorial(n) for f in fixed]
+
+
+def kill_tables(
+    n: int, c_subsets: Sequence[Edge], d_subsets: Sequence[Edge]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kill masks of every C-mask and every D-mask over the given subset
+    lists (a C-edge kills the partitions in which it is rainbow, a D-edge
+    those in which it is monochromatic), ORed from ``_partition_masks(n)``'
+    subset masks as ``search._space`` ORs them, and its block-count rows."""
+    _, rainbow, mono, blocks = _partition_masks(n)
+    c_masks, d_masks = ([sum(1 << v for v in s) for s in subsets] for subsets in (c_subsets, d_subsets))
+    return _or_table(rainbow[c_masks]), _or_table(mono[d_masks]), blocks
 
 
 def _spectra(kill_c: np.ndarray, kill_d: np.ndarray, blocks: np.ndarray, flats: np.ndarray, nd: int) -> np.ndarray:
@@ -383,7 +388,7 @@ def layer_scan_search(
     if total > budget.max_candidates:
         return SearchReport(Outcome.BUDGET_EXCEEDED, None, 0, 0.0)
 
-    kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+    kill_c, kill_d, blocks = kill_tables(n, c_subsets, d_subsets)
     want = np.array([int(k in ts.values) for k in range(1, n + 1)])
     classes = subset_image_class_counts(n, c_subsets, d_subsets)
     before = 0  # candidates in the layers already scanned
@@ -451,3 +456,44 @@ def popcount_partition_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     rainbow, mono = pack((met == size).T), pack((met <= 1).T)
     blocks = pack(parts.max(axis=1)[:, None] + 1 == np.arange(1, n + 1))
     return parts, rainbow, mono, blocks
+
+
+# --- the product of partition choices ----------------------------------------
+
+
+def one_realization_by_choice(values: Sequence[int], n: int) -> Optional[MixedHypergraph]:
+    """A one-realization of ``values`` on ``n`` vertices among all mixed
+    hypergraphs, with edges of every size, or None when there is none.
+
+    Tries every choice ``W0`` of one partition per value, with no prune and
+    no symmetry.  ``H*(W0)`` has as C-edges the vertex sets of size at least
+    2 that are rainbow in no chosen partition, and as D-edges those that are
+    monochromatic in none.  A hypergraph that keeps ``W0`` feasible has its
+    edges inside ``H*(W0)``, and edges only remove feasible partitions, so a
+    one-realization exists exactly when the partitions some ``H*(W0)``
+    leaves feasible are ``W0`` itself; that ``H*(W0)`` is returned.
+    """
+    if max(values) > n:
+        return None
+    parts, rainbow, mono, blocks = _partition_masks(n)
+
+    def unpack(table: np.ndarray) -> np.ndarray:
+        """``bits[s, j]``: bit ``j`` of row ``s`` as 0.0 or 1.0, one column per partition."""
+        return np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")[:, : len(parts)].astype(np.float32)
+
+    edges = [s for s in range(1 << n) if s.bit_count() >= 2]  # vertex bitmasks
+    rainbow, mono, blocks = unpack(rainbow)[edges], unpack(mono)[edges], unpack(blocks)
+    choices = product(*(np.flatnonzero(blocks[k - 1]) for k in values))
+    while chosen := list(islice(choices, 1024)):
+        # c[s, i], d[s, i]: whether vertex set s is a C-edge, a D-edge of H*(chosen[i])
+        c, d = (~table[:, chosen].any(axis=2) for table in (rainbow, mono))
+        # killed[i, j]: whether an edge of H*(chosen[i]) kills partition j
+        killed = c.T.astype(np.float32) @ rainbow + d.T.astype(np.float32) @ mono > 0
+        exact = np.flatnonzero((~killed).sum(axis=1) == len(values))
+        if exact.size:
+            c_edges, d_edges = (
+                [tuple(v for v in range(n) if s >> v & 1) for s, e in zip(edges, side[:, exact[0]]) if e]
+                for side in (c, d)
+            )
+            return MixedHypergraph(n, c_edges, d_edges)
+    return None

@@ -207,6 +207,12 @@ class TestVerify:
         assert run(capsys, "verify", str(bad), "--set", "2,4")[:2] == (2, "")
 
 
+    @pytest.mark.parametrize("value", ["0", ","])
+    def test_set_needs_positive_integers(self, capsys, doc42, value):
+        code, stdout, stderr = run(capsys, "verify", doc42, "--set", value)
+        assert (code, stdout, stderr) == (2, "", "error: --set expects one or more positive integers\n")
+
+
 class TestDocumentVertexCap:
     @pytest.mark.parametrize("argv", [("verify", "--set", "2"), ("spectrum",)])
     def test_oversize_document_exits_2_at_once(self, capsys, tmp_path, argv):
@@ -263,6 +269,21 @@ class TestErrorSize:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n")
         assert len(stderr.encode()) < 256, stderr
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("search-min", "--set", "4,2", "--n", "x" * 100_000), ("spectrum", "doc.json", "--format", "x" * 100_000),
+         ("x" * 100_000,)],
+        ids=["int", "choice", "command"],
+    )
+    def test_usage_errors_are_cut(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "error: argument " in captured.err and captured.err.endswith("...\n")
+        assert len(captured.err.encode()) < 1024, captured.err
 
 
 class TestSearchMin:

@@ -329,6 +329,23 @@ class TestIsomorphism:
         star = MixedHypergraph(4, [], [(0, 1), (0, 2), (0, 3)])
         assert are_isomorphic(path, star) is None
 
+    def test_pasch_configurations_are_told_apart_by_their_edges(self):
+        # every vertex in two triples, every pair in at most one: the vertex
+        # signatures and pair profiles agree on every bijection, so only the
+        # edge check rejects the wrong ones
+        h1 = MixedHypergraph(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)], [])
+        h2 = MixedHypergraph(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)], [])
+        witness = are_isomorphic(h1, h2)
+        assert witness is not None and is_isomorphism(h1, h2, witness.mapping)
+
+    def test_hexagon_and_two_triangles(self):
+        # equal vertex signatures (every vertex in two D-pairs), not isomorphic:
+        # the backtracking runs out of bijections
+        hexagon = MixedHypergraph(6, [], [(i, (i + 1) % 6) for i in range(6)])
+        triangles = MixedHypergraph(6, [], [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert are_isomorphic(hexagon, triangles) is None
+        assert are_isomorphic(triangles, hexagon) is None
+
     def test_cap_enforced(self):
         big = MixedHypergraph(ISO_VERTEX_CAP + 1, [], [(0, 1)])
         with pytest.raises(ValueError, match="at most"):

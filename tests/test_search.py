@@ -33,7 +33,6 @@ from mixedhg.search import (
     _can_hit,
     _distinct_rows,
     _hits,
-    _kill_tables,
     _layer_until,
     canonical_keys,
     class_counts,
@@ -44,11 +43,14 @@ from mixedhg.search import (
 from _oracles import (
     all_restricted_growth_strings,
     brute_force_spectrum,
+    kill_tables,
     layer_scan_search,
+    one_realization_by_choice,
     per_count_layer_until,
     per_permutation_keys,
     popcount_partition_masks,
     stacked_hits,
+    subset_image_class_counts,
 )
 
 
@@ -405,7 +407,7 @@ class TestKillMasks:
         for n, c_size, d_size in ((5, 3, 2), (6, 2, 5)):
             c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
             nd = len(d_subsets)
-            kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+            kill_c, kill_d, blocks = kill_tables(n, c_subsets, d_subsets)
             assert kill_c.shape[1] == (1 if n == 5 else 4)
             flats = random.Random(n).sample(range(1 << (len(c_subsets) + nd)), 200 if n == 5 else 60)
             # and a witness, so that both verdicts are met
@@ -438,6 +440,16 @@ class TestKillMasks:
             expected = [len(np.unique(keys[edges == m])) for m in range(len(c_subsets) + len(d_subsets) + 1)]
             assert class_counts(n, c_subsets, d_subsets) == tuple(expected), (c_size, d_size)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_class_counts_match_every_permutation(self, n):
+        # the cycle types read off the partitions' block shapes against
+        # Burnside over all n! permutations, on every space within the cap
+        for c_size, d_size in itertools.product(range(2, n + 1), repeat=2):
+            c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+            if len(c_subsets) + len(d_subsets) <= 26:
+                expected = subset_image_class_counts(n, c_subsets, d_subsets)
+                assert class_counts(n, c_subsets, d_subsets) == tuple(expected), (c_size, d_size)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_kill_tables_match_the_definition(self, n):
         parts = list(all_restricted_growth_strings(n))
@@ -450,7 +462,7 @@ class TestKillMasks:
         # a side keeps the OR tables small at n=6
         for c_size, d_size in itertools.product(range(2, n + 2), repeat=2):
             c_subsets, d_subsets = edge_subsets(n, c_size)[:12], edge_subsets(n, d_size)[:12]
-            kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+            kill_c, kill_d, blocks = kill_tables(n, c_subsets, d_subsets)
             assert (len(kill_c), len(kill_d)) == (1 << len(c_subsets), 1 << len(d_subsets))
             for subsets, kills, killed in ((c_subsets, kill_c, len), (d_subsets, kill_d, lambda s: 1)):
                 for i, s in enumerate(subsets):
@@ -459,6 +471,10 @@ class TestKillMasks:
                 # a mask's row is the OR of its subsets' rows
                 assert (kills[-1] == np.bitwise_or.reduce(kills[[1 << i for i in range(len(subsets))]])).all()
             assert [bits(row) for row in blocks] == [[max(p) + 1 == k for p in parts] for k in range(1, n + 1)]
+            if (c_subsets, d_subsets) == (edge_subsets(n, c_size), edge_subsets(n, d_size)):
+                # where no list was cut, these are the candidate space's tables
+                space = search._space(n, c_size, d_size)
+                assert (space.kill_c == kill_c).all() and (space.kill_d == kill_d).all()
 
 
 class TestWordHits:
@@ -491,7 +507,7 @@ class TestWordHits:
     )
     def test_real_pair_tables(self, values, n, c_size, d_size, monkeypatch):
         c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
-        kill_c, kill_d, blocks = _kill_tables(n, c_subsets, d_subsets)
+        kill_c, kill_d, blocks = kill_tables(n, c_subsets, d_subsets)
         # every table the search builds
         calls = []
 
@@ -527,9 +543,8 @@ class TestSharedTables:
             for table in tables:
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = 0
-            # the block-count rows _kill_tables returns are the shared ones
-            with pytest.raises(ValueError, match="read-only"):
-                _kill_tables(n, edge_subsets(n, 2)[:4], edge_subsets(n, 2)[:4])[2][0] = 0
+        # the candidate space reads the shared block-count rows
+        assert search._space(5, 3, 2).blocks is search._partition_masks(5)[3]
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_partition_masks_match_the_popcount_build(self, n):
@@ -672,7 +687,7 @@ class TestPrune:
             sizes = [(3, 2), (2, 3), (2, 2), (3, 3), (4, 2)]
             targets = [v for r in (2, 3) for v in itertools.combinations(range(2, n + 1), r)]
             for (c_size, d_size), values in itertools.product(sizes, targets):
-                kill_c, kill_d, blocks = _kill_tables(n, edge_subsets(n, c_size), edge_subsets(n, d_size))
+                kill_c, kill_d, blocks = kill_tables(n, edge_subsets(n, c_size), edge_subsets(n, d_size))
                 want = np.isin(np.arange(1, n + 1), values)
                 kills, _ = _distinct_rows(kill_c)
                 hits = _hits(kills, kill_d, blocks, want)
@@ -690,3 +705,34 @@ class TestPrune:
                         dropped_by["a"] += b and not a
                         dropped_by["b"] += a and not b
         assert dropped_by["a"] and dropped_by["b"], dropped_by
+
+
+class TestLowerBound:
+    """The paper's minimum size checked over every mixed hypergraph, edges of
+    any size, by the product of partition choices in ``_oracles``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_choice_matches_every_hypergraph(self, n):
+        # each vertex set of size >= 2 is a C-edge, a D-edge, both or neither
+        sets = [s for size in range(2, n + 1) for s in itertools.combinations(range(n), size)]
+        realized = set()
+        for kinds in itertools.product(range(4), repeat=len(sets)):
+            h = MixedHypergraph(n, [s for s, k in zip(sets, kinds) if k & 1], [s for s, k in zip(sets, kinds) if k & 2])
+            spectrum = brute_force_spectrum(h)
+            if set(spectrum) <= {0, 1}:
+                realized.add(tuple(k for k, count in enumerate(spectrum, start=1) if count))
+        for r in range(1, n + 1):
+            for values in itertools.combinations(range(1, n + 1), r):
+                witness = one_realization_by_choice(values, n)
+                assert (witness is not None) == (values in realized), values
+                assert witness is None or is_one_realization(witness, values), values
+
+    @pytest.mark.parametrize("values", [(4, 3, 2), (4, 2), (5, 4, 3), (6, 5, 4), (5, 3), (6, 4), (5, 2)])
+    def test_none_below_the_minimum_size(self, values):
+        assert one_realization_by_choice(values, minimum_size(TargetSet(values)) - 1) is None
+
+    @pytest.mark.parametrize("values", [(3, 2), (4, 3), (4, 2), (4, 3, 2), (5, 4, 3), (5, 4, 2)])
+    def test_witness_at_the_minimum_size(self, values):
+        n = minimum_size(TargetSet(values))
+        witness = one_realization_by_choice(values, n)
+        assert witness.n == n and is_one_realization(witness, values)
