@@ -267,8 +267,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     args = _build_parser().parse_args(argv if argv is None else list(argv))
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # as str(exc), but with an OSError's file names quoted
+        names = " -> ".join(_quote(f) for f in (getattr(exc, "filename", None), getattr(exc, "filename2", None)) if f)
+        print(f"error: [Errno {exc.errno}] {exc.strerror}: {names}" if names else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -28,12 +28,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedHypergraph
+from .core import MixedHypergraph, _slices
 
 FeasibleSet = tuple[int, ...]
-
-# the most entries of one array in listing's grouped edge test (8 MiB of bools)
-_ENTRIES = 1 << 23
 
 # the most partitions ``spectrum --list-colorings`` lists; the library's own
 # listing functions take no cap
@@ -211,11 +208,10 @@ def _partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
     for v in range(1, n):
         blocks = np.arange(min(v + 1, n if k is None else k), dtype=np.int16)
         allowed = blocks <= used[:, None]
-        step = max(1, _ENTRIES // max(1, allowed.size))  # edges per test: its arrays stay within _ENTRIES
         for (is_c, _), group in closing[v].items():
-            for lo in range(0, len(group), step):
+            for part in _slices(len(group), allowed.nbytes):  # edges x allowed within WORKING_BYTES
                 # edges x rows: the block of each edge's i-th other member
-                members = [rows[:, list(col)].T for col in zip(*group[lo : lo + step])]
+                members = [rows[:, list(col)].T for col in zip(*group[part])]
                 first = members[0]
                 if is_c:  # a block is spared where it repeats a member or the edge is not rainbow
                     spared = first[:, :, None] == blocks

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import core
 from .core import Label, MixedHypergraph, _quote
 from .coloring import Partition, is_gap_free
 
@@ -21,9 +22,6 @@ from .coloring import Partition, is_gap_free
 # takes well under a second, and its edge masks O(n^2 * s) memory; the library
 # functions themselves take any size.
 VERTEX_CAP = 256
-# 64-bit words in one working array of the C-edge test (512 KiB): chunks of
-# 2^14-2^16 words ran fastest on {129,2}, 2^20 a third slower
-_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,10 @@ def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]
     values at every coordinate.  D-edges: the pairs whose labels differ at
     every coordinate.  Both are read off the packed agreement words of
     ``_agreement_words``, the triples a chunk of first vertices at a time:
-    as many as keep the triple test's arrays within ``_ENTRIES`` entries, and
-    at least one, whose arrays are m x m for its m later vertices (larger
-    than ``_ENTRIES`` from 258 vertices on).  ``argwhere`` yields them in
-    lexicographic order."""
+    as many as keep the triple test's arrays within ``core.WORKING_BYTES``,
+    and at least one, whose arrays are m x m words for its m later vertices
+    (larger than the budget from 1,026 vertices on).  ``argwhere`` yields them
+    in lexicographic order."""
     n = len(labels)
     agree, full = _agreement_words(labels)
     idx = np.arange(n)
@@ -116,7 +114,7 @@ def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]
     while at < n - 2:
         # first vertices at..stop-1, and j and k beyond at: m vertices
         m = n - at - 1
-        stop = min(n - 2, at + max(1, _ENTRIES // (m * m)))
+        stop = min(n - 2, at + max(1, core.WORKING_BYTES // (8 * m * m)))
         ok = (idx[: stop - at, None] <= idx[:m])[:, :, None] & upper[at + 1 :, at + 1 :]  # i < j < k
         for a, f in zip(agree, full):
             ij = a[at:stop, at + 1 :]

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, pairwise, starmap
 from operator import lt
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 Edge = tuple[int, ...]
 Label = tuple[int, ...]
@@ -16,6 +16,8 @@ Label = tuple[int, ...]
 ISO_VERTEX_CAP = 12
 # the most bytes of UTF-8 an error message quotes of one input value
 QUOTE_BYTES = 64
+# the most bytes of one working array in every chunked numpy pass (8 MiB)
+WORKING_BYTES = 1 << 23
 
 
 def _cut(text: str, limit: int) -> str:
@@ -28,6 +30,13 @@ def _quote(value: object) -> str:
     """``repr(value)``, cut to ``QUOTE_BYTES`` bytes, so an error message
     stays short whatever input it quotes."""
     return _cut(repr(value), QUOTE_BYTES)
+
+
+def _slices(length: int, item_bytes: int) -> Iterator[slice]:
+    """Consecutive slices covering ``range(length)``, each of at most
+    ``WORKING_BYTES // item_bytes`` items and at least one."""
+    step = max(1, WORKING_BYTES // max(1, item_bytes))
+    return (slice(at, min(at + step, length)) for at in range(0, length, step))
 
 
 def _first_bad_edge(rows: list[tuple], n: int, kind: str) -> Optional[str]:

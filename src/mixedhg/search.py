@@ -9,7 +9,8 @@ only remove partitions, so each side first drops the kill masks that cannot
 be part of any hit (``_can_hit``); the C-masks left with equal kill masks are
 merged, and the D-masks are walked in chunks, each tested against every
 distinct C kill mask left at once (``_hits``), so an exhausted space needs no
-candidate order at all.  The witness is read off that one pass.
+candidate order at all.  The witness is read off that one pass.  The prune,
+the pass and the canonical keys work in slices of ``core.WORKING_BYTES``.
 Isomorphism classes are counted per edge count by Polya's theorem
 (``class_counts``); only in the layer of a witness, up to the witness, are
 they told apart by a canonical form (the smallest id in the candidate's
@@ -41,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Edge, MixedHypergraph
+from .core import Edge, MixedHypergraph, _slices
 from .coloring import Spectrum, _partition_rows, chromatic_spectrum, feasible_set
 from .constructions import TargetSet, minimum_size, smallest_one_realization
 
@@ -49,8 +50,6 @@ VERTEX_CAP = 6
 # at n <= 6 no space has between 2^21 and 2^26 candidates; the largest take
 # about 0.6 s and 100 MiB (README, "Limits")
 CANDIDATE_CAP = 1 << 26
-# 64-bit entries in one working array of the prune, the hit table or the keys (8 MiB)
-_ENTRIES = 1 << 20
 
 
 class Outcome(str, Enum):
@@ -179,9 +178,7 @@ def canonical_keys(n: int, c_size: int, d_size: int, flats: np.ndarray) -> np.nd
     pieces = list(zip([side >> low & 255 for side, size in masks for low in range(0, size, 8)], space.keys))
     best = np.array(flats, dtype=np.int64)
     perms = factorial(n)
-    rows = max(1, _ENTRIES // perms)
-    for at in range(0, len(best), rows):
-        part = slice(at, at + rows)
+    for part in _slices(len(best), 8 * perms):
         permuted = np.zeros((len(best[part]), perms), dtype=np.int64)
         for byte, table in pieces:
             permuted |= table[byte[part]]
@@ -433,9 +430,8 @@ def bounded_minimality_search(
         return exhausted
     want = np.array([k in ts.values for k in range(1, n + 1)])
     # only the C and D kill masks that can be part of a hit meet in _hits
-    rows = max(1, _ENTRIES // kill_c.shape[1])
     live = np.flatnonzero(np.concatenate(
-        [_can_hit(kill_c[at : at + rows], kill_d[-1], blocks, want) for at in range(0, len(kill_c), rows)]
+        [_can_hit(kill_c[part], kill_d[-1], blocks, want) for part in _slices(len(kill_c), kill_c[0].nbytes)]
     ))
     if not live.size:
         return exhausted
@@ -444,13 +440,12 @@ def bounded_minimality_search(
     # in the D-order a kill mask's first hit has the fewest D-edges, and
     # position 1 << nd stands for no hit
     found = np.full(len(survivors), 1 << nd)
-    step = max(1, _ENTRIES // survivors.size)
-    for at in range(0, 1 << nd, step):
-        chunk = kill_d[d_order[at : at + step]]
+    for part in _slices(1 << nd, survivors.nbytes):
+        chunk = kill_d[d_order[part]]
         cols = np.flatnonzero(_can_hit(chunk, kill_c[-1], blocks, want))
         if cols.size:
             hit = _hits(survivors, chunk[cols], blocks, want)
-            np.minimum(found, np.where(hit.any(axis=1), at + cols[hit.argmax(axis=1)], 1 << nd), out=found)
+            np.minimum(found, np.where(hit.any(axis=1), part.start + cols[hit.argmax(axis=1)], 1 << nd), out=found)
     first = found[row_of]  # each live C-mask's first hit
 
     # the first hit: fewest edges, then the smallest C-mask (live ascends), then D-mask

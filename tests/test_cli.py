@@ -270,6 +270,21 @@ class TestErrorSize:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n")
         assert len(stderr.encode()) < 256, stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("spectrum", "x" * 5000), ("construct", "--set", "4,2", "--out", "/nonexistent/" + "x" * 5000)],
+        ids=["spectrum", "construct-out"],
+    )
+    def test_long_paths_give_one_short_error_line(self, capsys, argv):
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: [Errno ") and stderr.count("\n") == 1 and stderr.endswith("...\n")
+        assert len(stderr.encode()) < 256, stderr
+
+    def test_short_paths_are_kept_whole(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run(capsys, "spectrum", "missing.json")
+        assert (code, stderr) == (2, "error: [Errno 2] No such file or directory: 'missing.json'\n")
 
     @pytest.mark.parametrize(
         "argv",

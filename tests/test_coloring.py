@@ -384,7 +384,7 @@ class TestListing:
     def test_grouped_test_matches_the_per_edge_loop(self, h):
         self.check_rows_against_the_per_edge_loop(h)
 
-    @pytest.mark.parametrize("entries", [None, 64, 1])
+    @pytest.mark.parametrize("limit", [None, 64, 1])
     @pytest.mark.parametrize(
         "h",
         [
@@ -399,10 +399,11 @@ class TestListing:
         ],
         ids=["bi-edge", "groups-at-5-and-6", "groups-at-7"],
     )
-    def test_closing_groups_match_the_per_edge_loop(self, monkeypatch, h, entries):
-        # a small _ENTRIES splits a group's edges across several tests
-        if entries is not None:
-            monkeypatch.setattr(coloring, "_ENTRIES", entries)
+    def test_closing_groups_match_the_per_edge_loop(self, working_bytes, h, limit):
+        # a small budget splits a group's edges across several tests (one
+        # byte per bool of a test's arrays)
+        if limit is not None:
+            working_bytes(limit)
         self.check_rows_against_the_per_edge_loop(h)
 
     def test_pool_instances_match_the_per_edge_loop(self):

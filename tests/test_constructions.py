@@ -142,6 +142,20 @@ def test_label_masks_match_the_filters_on_random_labels():
     assert found >= 20, found
 
 
+@pytest.mark.parametrize("limit", [1, 8 * 10 * 10])
+def test_small_budgets_give_the_same_edges(working_bytes, limit):
+    # at 1 byte every chunk is one first vertex whose arrays exceed the
+    # budget, which the default budget gives only from 1,026 vertices on; at
+    # 100 words the chunks of the later first vertices hold several
+    working_bytes(limit)
+    rng = random.Random(24)
+    labels = [construction_labels(TargetSet(values)) for values in [(4, 2), (6, 4, 3), (9, 5, 3, 2)]]
+    labels += [[tuple(rng.randint(1, 3) for _ in range(3)) for _ in range(20)] for _ in range(10)]
+    for lab in labels:
+        c_edges, d_edges = _label_edges(lab)
+        assert (list(map(tuple, c_edges)), list(map(tuple, d_edges))) == filtered_edges(lab), lab
+
+
 PAPER_SETS = [values for size in range(2, 6) for values in combinations(range(2, 13), size)]
 
 

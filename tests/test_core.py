@@ -12,7 +12,8 @@ from mixedhg import (
     construct_one,
     is_isomorphism,
 )
-from mixedhg.core import QUOTE_BYTES, _canonical_edges, _quote
+from mixedhg import core
+from mixedhg.core import QUOTE_BYTES, _canonical_edges, _quote, _slices
 
 from _oracles import per_edge_canonical_edges
 
@@ -199,6 +200,27 @@ class TestErrorSize:
                 call()
             # the CLI prints it as one "error: ..." line
             assert len(f"error: {info.value}\n".encode()) < 256, str(info.value)
+
+
+class TestSlices:
+    @pytest.mark.parametrize("item_bytes", [0, 1, 3, 8, 64, 65, 1 << 20])
+    @pytest.mark.parametrize("length", [0, 1, 2, 7, 8, 9, 100])
+    def test_cover_the_range_once_within_the_budget(self, working_bytes, length, item_bytes):
+        working_bytes(64)
+        parts = list(_slices(length, item_bytes))
+        assert [i for part in parts for i in range(length)[part]] == list(range(length))
+        # no empty slice, so length 0 yields none
+        assert all(part.start < part.stop <= length and part.step is None for part in parts)
+        # each slice fits the budget, or holds one item
+        assert all((part.stop - part.start) * item_bytes <= 64 or part.stop - part.start == 1 for part in parts)
+        if item_bytes <= 64:  # full slices but the last
+            assert all(part.stop - part.start == 64 // max(1, item_bytes) for part in parts[:-1])
+
+    def test_budget_is_read_at_call_time(self, working_bytes):
+        assert list(_slices(3, core.WORKING_BYTES)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert list(_slices(3, core.WORKING_BYTES // 2)) == [slice(0, 2), slice(2, 3)]
+        working_bytes(10)
+        assert list(_slices(5, 5)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
 
 
 class TestDerivedSubhypergraph:

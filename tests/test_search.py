@@ -225,36 +225,36 @@ class TestBoundedSearch:
             assert bounded_minimality_search(ts, n, budget) == expected, (c_size, d_size, values)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_chunks_do_not_change_the_report(self, n, monkeypatch):
+    def test_chunks_do_not_change_the_report(self, n, working_bytes):
         # small chunks split the D-masks, so first hits are merged across chunks
         sizes = [(3, 2), (2, 3)] + ([(2, 2), (3, 3), (4, 2)] if n <= 4 else [])
         targets = [v for r in (2, 3) for v in itertools.combinations(range(2, 7), r)]
         cases = [(SearchBudget(c_edge_size=c, d_edge_size=d), TargetSet(values))
                  for (c, d), values in itertools.product(sizes, targets)]
         whole = [bounded_minimality_search(ts, n, budget) for budget, ts in cases]
-        for entries in (1, 7, 256):
-            monkeypatch.setattr(search, "_ENTRIES", entries)
-            assert [bounded_minimality_search(ts, n, budget) for budget, ts in cases] == whole, entries
+        for limit in (8, 56, 2048):  # 1, 7 and 256 words
+            working_bytes(limit)
+            assert [bounded_minimality_search(ts, n, budget) for budget, ts in cases] == whole, limit
 
-    def test_hit_tables_stay_within_the_bound(self, monkeypatch):
+    def test_hit_tables_stay_within_the_bound(self, monkeypatch, working_bytes):
         sizes, pruned = [], []
 
         def recording(kills, kill_d, blocks, want):
-            sizes.append(len(kills) * len(kill_d) * kills.shape[1])
+            sizes.append(len(kills) * len(kill_d) * kills[0].nbytes)
             return _hits(kills, kill_d, blocks, want)
 
         def recording_prune(kills, other_all, blocks, want):
-            pruned.append(kills.size)  # the prune's arrays are the shape of ``kills``
+            pruned.append(kills.nbytes)  # the prune's arrays are the shape of ``kills``
             return _can_hit(kills, other_all, blocks, want)
 
         budget = SearchBudget(c_edge_size=4, d_edge_size=2)
         whole = bounded_minimality_search(TargetSet((4, 3)), 5, budget)
-        monkeypatch.setattr(search, "_ENTRIES", 256)
+        working_bytes(2048)  # 256 words
         monkeypatch.setattr(search, "_hits", recording)
         monkeypatch.setattr(search, "_can_hit", recording_prune)
         assert bounded_minimality_search(TargetSet((4, 3)), 5, budget) == whole
-        assert sizes and max(sizes) <= 256
-        assert pruned and max(pruned) <= 256
+        assert sizes and max(sizes) <= 2048
+        assert pruned and max(pruned) <= 2048
 
     @pytest.mark.parametrize("c_size,d_size,examined,dedup", [(5, 2, 64, 0.828125), (3, 5, 16, 0.6875)])
     def test_edge_size_above_n(self, c_size, d_size, examined, dedup):
@@ -315,12 +315,12 @@ class TestCanonicalKeys:
         expected = per_permutation_keys(n, c_subsets, d_subsets, flats)
         assert (canonical_keys(n, c_size, d_size, flats) == expected).all()
 
-    def test_small_chunks_give_the_same_keys(self, monkeypatch):
+    def test_small_chunks_give_the_same_keys(self, working_bytes):
         n = 4
         c_subsets, d_subsets = edge_subsets(n, 3), edge_subsets(n, 2)
         flats = np.arange(1 << (len(c_subsets) + len(d_subsets)))
         whole = canonical_keys(n, 3, 2, flats)
-        monkeypatch.setattr(search, "_ENTRIES", 7 * 24)  # 7 candidates of 24 permutations a chunk
+        working_bytes(7 * 24 * 8)  # 7 candidates of 24 permutations a chunk
         assert (canonical_keys(n, 3, 2, flats) == whole).all()
 
     def test_identity_key_bounds(self):
