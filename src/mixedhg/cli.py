@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from typing import Iterable, NoReturn, Optional
@@ -29,6 +30,8 @@ from .core import MixedHypergraph, _cut, _quote, are_isomorphic
 
 # the most bytes of UTF-8 that a usage error's message keeps
 USAGE_MESSAGE_BYTES = 256
+# an integer of --set: int() alone would also take "1_0" and non-ASCII digits
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,10 +45,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_ints(text: str) -> list[int]:
+    """The integers of a comma-separated list: ASCII digits with an optional
+    sign, spaces around them and empty parts allowed."""
+    parts = [part.strip() for part in text.split(",")]
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"--set expects comma-separated integers, got {_quote(text)}") from None
+        if all(map(_DECIMAL.fullmatch, filter(None, parts))):
+            return [int(part) for part in parts if part]
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(f"--set expects comma-separated integers, got {_quote(text)}")
 
 
 def _parse_target_set(text: str) -> TargetSet:

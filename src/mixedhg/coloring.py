@@ -11,8 +11,9 @@ row at once.  The listed ``Partition`` objects are built in bulk from the
 checked rows, with the process's cyclic garbage collector paused while they
 are made (re-enabled afterwards only if it was enabled; a thread that runs
 meanwhile runs with it paused too).  Counting is a frontier dynamic programme
-along one greedy vertex order, and never visits a partition one by one; it
-has quick rules for D-pairs and C-triples, the edges of the paper's
+along id order when every vertex shares an edge with every other, else along
+one greedy vertex order, and never visits a partition one by one; it has
+quick rules for D-pairs and C-triples, the edges of the paper's
 constructions, and one general rule per kind for every other edge.  Every
 operation runs in this process: ``jobs`` is accepted, ignored, and starts no
 workers.
@@ -23,12 +24,13 @@ from __future__ import annotations
 import gc
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, groupby, repeat
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedHypergraph, _slices
+from .core import MixedHypergraph, _columns, _slices
 
 FeasibleSet = tuple[int, ...]
 
@@ -238,23 +240,28 @@ def _partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
 
 # --- counting: frontier dynamic programme ----------------------------------
 #
-# Vertices are placed one by one along the greedy order of ``_greedy_order``,
-# which keeps the frontier narrow on sparse instances and is id order when
-# every vertex shares an edge with every other.  The frontier is the placed
-# vertices that still belong to an edge whose last vertex is unplaced.  A
-# state is the partition restricted to the frontier, as a restricted-growth
-# string over the frontier in placement order, plus ``k``, the blocks used so
-# far; it maps to the number of proper partial partitions behind it.  A new
-# vertex joins a block holding a frontier vertex, or one of the ``k - a``
-# blocks holding none (``a`` frontier blocks; these blocks are alike for every
-# edge still to close), or opens a new one.  Edges are checked when their
-# last vertex is placed: one pass over the edges files each under that step,
-# with its other members, and a state's blocks the new vertex may join are
-# the bits of one int.  The cost grows with n times the number of frontier
-# states, not with the number of feasible partitions.
+# Vertices are placed one by one along one order.  One pass over the edges
+# collects the vertex pairs that share an edge: when every pair does (a
+# complete primal graph, as in 627 of the 1,012 paper constructions) the
+# order is id order, else it is the greedy order of ``_greedy_order``, which
+# keeps the frontier narrow on sparse instances.  The frontier is the placed
+# vertices that still belong to an edge whose last vertex is unplaced; a
+# vertex leaves it after the step of its last neighbour, which is the last
+# step for every vertex of a complete primal graph.  A state is the partition
+# restricted to the frontier, as a restricted-growth string over the
+# frontier in placement order, with ``a``, its number of blocks, and ``k``,
+# the blocks used so far; it maps to the number of proper partial partitions
+# behind it.  A new vertex joins a block holding a frontier vertex, or one of
+# the ``k - a`` blocks holding none (these blocks are alike for every edge
+# still to close), or opens a new one.  Edges are checked when their last
+# vertex is placed: one pass over the edges files each under that step by
+# shape, and a state's blocks the new vertex may join are the bits of one
+# int.  Only a step at which some frontier vertex leaves renumbers the
+# states.  The cost grows with n times the number of frontier states, not
+# with the number of feasible partitions.
 
 
-def _greedy_order(near: list[set[int]]) -> list[int]:
+def _greedy_order(near: list[list[int]]) -> list[int]:
     """Next is the unplaced vertex with the most placed neighbours, ties to
     the lowest id."""
     score = [0] * len(near)
@@ -269,84 +276,107 @@ def _greedy_order(near: list[set[int]]) -> list[int]:
     return order
 
 
-def _neighbourhoods(h: MixedHypergraph) -> list[set[int]]:
-    """Each vertex with every vertex it shares an edge with."""
-    near = [{u} for u in range(h.n)]
-    for e in h.c_edges + h.d_edges:
-        for u in e:
-            near[u].update(e)
-    return near
+def _counting_plan(h: MixedHypergraph) -> tuple[list[int], list[int]]:
+    """The order counting places the vertices in, and ``leave``: for each
+    step, the step after which its vertex leaves the frontier, that of its
+    last neighbour (or its own)."""
+    n = h.n
+    # the vertex pairs u < v that share an edge, as the ints u * n + v, from
+    # the columns of each edge length
+    pairs: set[int] = set()
+    for size, group in groupby(sorted(h.c_edges + h.d_edges, key=len), len):
+        for first, second in combinations(_columns(list(group), size), 2):
+            pairs.update(map(add, map(mul, first, repeat(n)), second))
+    if len(pairs) == n * (n - 1) // 2:  # every vertex shares an edge with every other
+        return list(range(n)), [n - 1] * n
+    near = [[v] for v in range(n)]
+    for u, v in map(divmod, pairs, repeat(n)):
+        near[u].append(v)
+        near[v].append(u)
+    order = _greedy_order(near)
+    step = [0] * n
+    for i, v in enumerate(order):
+        step[v] = i
+    return order, [max(map(step.__getitem__, near[v])) for v in order]
 
 
-def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[int]]) -> list[int]:
+def _frontier_counts(h: MixedHypergraph, order: Sequence[int], leave: Sequence[int]) -> list[int]:
     """``counts[k]``: the feasible partitions of ``h`` with ``k`` blocks, for
-    ``k = 0..n``, by the frontier programme along ``order``; ``near`` is
-    ``_neighbourhoods(h)``."""
+    ``k = 0..n``, by the frontier programme along ``order``; ``leave[i]`` is
+    the step after which step i's vertex leaves the frontier, at least ``i``
+    and at least the step of every vertex it shares an edge with."""
     n = len(order)
     step = [0] * n
     for i, v in enumerate(order):
         step[v] = i
-    # from here on a vertex goes by its step; ``leave[i]``: the step after
-    # which step i's vertex leaves the frontier, its last neighbour's
-    leave = [max(map(step.__getitem__, near[v])) for v in order]
     # one pass over the edges: each goes to the step that places its last
-    # member, as the steps of its other members
-    c_closing: list[list[Sequence[int]]] = [[] for _ in range(n)]
-    d_closing: list[list[Sequence[int]]] = [[] for _ in range(n)]
-    # along id order an edge's members are its steps, ascending; every paper
-    # construction (a complete primal graph) is counted along id order
+    # member, by shape.  A D-pair is the step of its other member, a C-triple
+    # (the paper's shapes) the steps of all its members, so that along id
+    # order no tuple is cut per edge, and any other edge the steps of its
+    # other members.  Along id order an edge's members are its steps,
+    # ascending; every paper construction with a complete primal graph is
+    # counted along id order
     in_id_order = step == list(range(n))
-    for closing, edges in ((c_closing, h.c_edges), (d_closing, h.d_edges)):
-        for e in edges:
-            if in_id_order:
-                closing[e[-1]].append(e[:-1])
-            else:
-                others = sorted(map(step.__getitem__, e))
-                closing[others.pop()].append(others)
-    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    differ: list[list[int]] = [[] for _ in range(n)]
+    c_triples: list[list[Sequence[int]]] = [[] for _ in range(n)]
+    c_longer: list[list[Sequence[int]]] = [[] for _ in range(n)]
+    d_longer: list[list[Sequence[int]]] = [[] for _ in range(n)]
+    for e in h.d_edges:
+        members = e if in_id_order else sorted(map(step.__getitem__, e))
+        if len(members) == 2:
+            differ[members[1]].append(members[0])
+        else:
+            d_longer[members[-1]].append(members[:-1])
+    for e in h.c_edges:
+        members = e if in_id_order else sorted(map(step.__getitem__, e))
+        if len(members) == 3:
+            c_triples[members[2]].append(members)
+        else:
+            c_longer[members[-1]].append(members[:-1])
+    departs = [0] * n  # departs[i]: the frontier vertices that leave at step i
+    for i, last in enumerate(leave):
+        if last > i:
+            departs[last] += 1
+    states: dict[tuple[tuple[int, ...], int, int], int] = {((), 0, 0): 1}
     frontier: list[int] = []  # the open steps, in order
     slot = list(range(n))  # each open step's position in the frontier labels
     for i in range(n):
         # a D-pair names one block the new vertex must avoid, a C-triple two
-        # blocks compared with each other (the paper's shapes); any other edge
-        # is tested on the set of its other members' blocks
-        whole = len(frontier) == i  # every earlier step is open: slots are steps
-        c_pairs, c_longer = [], []
-        for others in c_closing[i]:
-            js = others if whole else [slot[t] for t in others]
-            (c_pairs if len(js) == 2 else c_longer).append(js)
-        differ, d_longer = [], []
-        for others in d_closing[i]:
-            js = others if whole else [slot[t] for t in others]
-            (differ if len(js) == 1 else d_longer).append(js)
-        kept = [j for j, t in enumerate(frontier) if leave[t] > i]
-        drops = len(kept) < len(frontier)
+        # blocks compared with each other; any other edge is tested on the
+        # set of its other members' blocks
+        bars, triples, c_sets, d_sets = differ[i], c_triples[i], c_longer[i], d_longer[i]
+        if len(frontier) < i:  # some earlier step is closed: map steps to slots
+            bars = [slot[t] for t in bars]
+            triples = [(slot[j], slot[l], i) for j, l, _ in triples]
+            c_sets = [[slot[t] for t in js] for js in c_sets]
+            d_sets = [[slot[t] for t in js] for js in d_sets]
+        drops = departs[i] > 0
         stays = leave[i] > i
         if drops:
+            kept = [j for j, t in enumerate(frontier) if leave[t] > i]
             frontier = [frontier[j] for j in kept]
             for j, t in enumerate(frontier):
                 slot[t] = j
         if stays:
             slot[i] = len(frontier)
             frontier.append(i)
-        nxt: dict[tuple[tuple[int, ...], int], int] = defaultdict(int)
-        for (labels, k), count in states.items():
-            a = max(labels, default=-1) + 1
+        nxt: dict[tuple[tuple[int, ...], int, int], int] = defaultdict(int)
+        for (labels, a, k), count in states.items():
             allowed = (1 << a) - 1  # bit x: the new vertex may join frontier block x
-            for (j,) in differ:
+            for j in bars:
                 allowed &= ~(1 << labels[j])
             fresh = True  # whether it may take a block without frontier vertices
-            for j, l in c_pairs:
+            for j, l, _ in triples:
                 x, y = labels[j], labels[l]
                 if x != y:  # rainbow so far: the new vertex must repeat one
                     allowed &= 1 << x | 1 << y
                     fresh = False
-            for js in c_longer:
+            for js in c_sets:
                 seen = {labels[j] for j in js}
                 if len(seen) == len(js):
                     allowed &= sum(1 << x for x in seen)
                     fresh = False
-            for js in d_longer:
+            for js in d_sets:
                 seen = {labels[j] for j in js}
                 if len(seen) == 1:
                     allowed &= ~(1 << seen.pop())
@@ -358,23 +388,25 @@ def _frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[in
             if not stays:  # the new vertex is forgotten: every block it may join leads to one state
                 ways = allowed.bit_count() + (k - a if fresh else 0)
                 if ways:
-                    nxt[base, k] += count * ways
+                    nxt[base, new, k] += count * ways
                 if fresh:
-                    nxt[base, k + 1] += count
+                    nxt[base, new, k + 1] += count
                 continue
             while allowed:  # the set bits, lowest first
                 low = allowed & -allowed
                 allowed ^= low
                 x = low.bit_length() - 1
                 # a block whose frontier vertices all left takes the next unused label
-                nxt[base + (first.get(x, new) if drops else x,), k] += count
+                if drops:
+                    x = first.get(x, new)
+                nxt[base + (x,), new + (x == new), k] += count
             if fresh:
                 if k > a:
-                    nxt[base + (new,), k] += count * (k - a)
-                nxt[base + (new,), k + 1] += count
+                    nxt[base + (new,), new + 1, k] += count * (k - a)
+                nxt[base + (new,), new + 1, k + 1] += count
         states = nxt
     counts = [0] * (h.n + 1)
-    for (_, k), count in states.items():
+    for (_, _, k), count in states.items():
         counts[k] = count
     return counts
 
@@ -405,8 +437,7 @@ def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:
 
     ``jobs`` is accepted like elsewhere in the package; counting runs in this
     process and starts no workers."""
-    near = _neighbourhoods(h)
-    counts = _frontier_counts(h, _greedy_order(near), near)[1:]
+    counts = _frontier_counts(h, *_counting_plan(h))[1:]
     while counts and not counts[-1]:
         counts.pop()
     return Spectrum(tuple(counts))

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, pairwise, starmap
-from operator import lt
+from itertools import chain, combinations, groupby, pairwise, starmap
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Optional
 
 Edge = tuple[int, ...]
@@ -39,6 +39,13 @@ def _slices(length: int, item_bytes: int) -> Iterator[slice]:
     return (slice(at, min(at + step, length)) for at in range(0, length, step))
 
 
+def _columns(rows: list[Edge], width: int) -> list[list[int]]:
+    """The columns of rows of one length ``width``: ``zip(*rows)``, but with
+    no iterator object made per row, whose allocations would set off the
+    cyclic garbage collector on a large family."""
+    return [list(map(itemgetter(x), rows)) for x in range(width)]
+
+
 def _first_bad_edge(rows: list[tuple], n: int, kind: str) -> Optional[str]:
     """The error of the first edge in ``rows`` with a vertex that is not an
     int in ``0..n-1`` or with fewer than two distinct vertices, if any."""
@@ -55,7 +62,10 @@ def _first_bad_edge(rows: list[tuple], n: int, kind: str) -> Optional[str]:
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, kind: str) -> tuple[Edge, ...]:
     """Deduplicate, sort, and range-check an edge family.
 
-    Every vertex is checked in bulk (exact ints, no bools, in range), and a
+    A family whose edges all have one length is checked by columns: exact
+    ints (no bools), each edge strictly increasing from column to column, and
+    the range from the first and last columns.  Any other family (mixed
+    lengths, or an edge not yet sorted) has every vertex checked in bulk.  A
     family that is already canonical, each edge and the family strictly
     increasing, comes back as it is.  Only a family that fails a check is
     walked edge by edge, for its first error."""
@@ -64,6 +74,17 @@ def _canonical_edges(edges: Iterable[Iterable[int]], n: int, kind: str) -> tuple
         rows.extend(map(tuple, edges))  # keeps the rows before a non-iterable edge
     except TypeError:  # the family or one of its edges is not iterable
         raise ValueError(_first_bad_edge(rows, n, kind) or f"{kind}-edges must be a list of vertex lists") from None
+    widths = set(map(len, rows))
+    if len(widths) == 1:  # one edge length: by columns
+        cols = _columns(rows, widths.pop())
+        if (
+            len(cols) >= 2
+            and set(map(type, chain.from_iterable(cols))) <= {int}
+            and all(all(map(lt, a, b)) for a, b in pairwise(cols))
+            and 0 <= min(cols[0])
+            and max(cols[-1]) < n
+        ):
+            return tuple(rows if all(map(lt, rows, rows[1:])) else sorted(set(rows)))
     flat = list(chain.from_iterable(rows))
     if set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) < n):
         canonical = all(map(lt, rows, rows[1:])) and all(starmap(lt, chain.from_iterable(map(pairwise, rows))))
@@ -101,14 +122,15 @@ class MixedHypergraph:
         object.__setattr__(self, "d_edges", _canonical_edges(self.d_edges, self.n, "D"))
         if self.labels is not None:
             try:
-                labs = tuple(tuple(lab) for lab in self.labels)
+                labs = tuple(map(tuple, self.labels))
             except TypeError:
                 raise ValueError("labels must be a list of integer tuples") from None
             if len(labs) != self.n:
                 raise ValueError(f"got {len(labs)} labels for {_quote(self.n)} vertices")
-            for lab in labs:
-                if not all(type(x) is int for x in lab):
-                    raise ValueError(f"label {_quote(lab)} must be a tuple of integers")
+            if not set(map(type, chain.from_iterable(labs))) <= {int}:
+                # walked label by label only to name the first bad one
+                lab = next(lab for lab in labs if not all(type(x) is int for x in lab))
+                raise ValueError(f"label {_quote(lab)} must be a tuple of integers")
             if len(set(labs)) != len(labs):
                 raise ValueError("vertex labels must be distinct")
             object.__setattr__(self, "labels", labs)
@@ -202,22 +224,20 @@ def is_isomorphism(h1: MixedHypergraph, h2: MixedHypergraph, mapping: Iterable[i
     return image(h1.c_edges) == set(h2.c_edges) and image(h1.d_edges) == set(h2.d_edges)
 
 
-def _vertex_signatures(h: MixedHypergraph) -> list[tuple]:
-    sigs: list[Counter] = [Counter() for _ in range(h.n)]
+def _incidence_profiles(h: MixedHypergraph) -> tuple[list[tuple], dict[tuple[int, int], tuple]]:
+    """Each vertex's signature, and each profile of a pair of vertices that
+    share an edge: the counts of its edges per kind and size, as sorted
+    ``((kind, size), count)`` tuples, from one count per group of edges."""
+    sigs: list[list] = [[] for _ in range(h.n)]
+    prof: dict[tuple[int, int], list] = defaultdict(list)
     for kind, edges in (("c", h.c_edges), ("d", h.d_edges)):
-        for e in edges:
-            for v in e:
-                sigs[v][(kind, len(e))] += 1
-    return [tuple(sorted(c.items())) for c in sigs]
-
-
-def _pair_profiles(h: MixedHypergraph) -> dict[tuple[int, int], tuple]:
-    prof: dict[tuple[int, int], Counter] = {}
-    for kind, edges in (("c", h.c_edges), ("d", h.d_edges)):
-        for e in edges:
-            for a, b in combinations(e, 2):
-                prof.setdefault((a, b), Counter())[(kind, len(e))] += 1
-    return {pair: tuple(sorted(c.items())) for pair, c in prof.items()}
+        for size, group in groupby(sorted(edges, key=len), len):  # the groups in sorted order
+            group = list(group)
+            counts = Counter(chain.from_iterable(group))  # the vertices, then the pairs, by columns
+            counts.update(chain.from_iterable(starmap(zip, combinations(_columns(group, size), 2))))
+            for x, count in counts.items():
+                (prof[x] if type(x) is tuple else sigs[x]).append(((kind, size), count))
+    return list(map(tuple, sigs)), {pair: tuple(p) for pair, p in prof.items()}
 
 
 def are_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> Optional[IsoMapping]:
@@ -234,11 +254,10 @@ def are_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> Optional[IsoMapp
         return None
 
     n = h1.n
-    sig1, sig2 = _vertex_signatures(h1), _vertex_signatures(h2)
+    (sig1, prof1), (sig2, prof2) = _incidence_profiles(h1), _incidence_profiles(h2)
     freq = Counter(sig1)
     if freq != Counter(sig2):  # also compares the edge counts per kind and size
         return None
-    prof1, prof2 = _pair_profiles(h1), _pair_profiles(h2)
     c2set, d2set = set(h2.c_edges), set(h2.d_edges)
 
     # Rare signatures first: fewer candidate images early in the search.

@@ -9,9 +9,12 @@ class counts expand every vertex permutation on its own (Burnside), where
 the library expands one per cycle type.  The
 dict frontier programme is the counting engine as it was before its one-pass
 edge plan and bitmask states, kept as the reference for that engine on
-instances too large for brute force.  The per-edge validation loop and the
-per-row document renderer are the core and document code as they were
-before their bulk checks and one-call rendering.  The per-edge row engine is
+instances too large for brute force.  The dict programme
+reads its frontier from each vertex's neighbourhood, built edge by edge.
+The per-edge validation loop and the per-row document renderer are the core
+and document code as they were before their bulk checks and one-call
+rendering, and the edge-by-edge isomorphism profiles those of before they
+were counted per group of edges.  The per-edge row engine is
 the listing engine as it was before it tested closing edges by group.  The
 popcount build of the partition masks is ``_partition_masks`` as it was
 before its subset recurrence.  The product of partition choices decides
@@ -22,9 +25,9 @@ hypergraphs, trying every choice with no prune and no symmetry.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cache
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -144,10 +147,28 @@ def per_edge_partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.n
 # --- the dict frontier programme ---------------------------------------------
 
 
+def neighbourhoods(h: MixedHypergraph) -> list[set[int]]:
+    """Each vertex with every vertex it shares an edge with, edge by edge."""
+    near = [{u} for u in range(h.n)]
+    for e in h.c_edges + h.d_edges:
+        for u in e:
+            near[u].update(e)
+    return near
+
+
+def leave_points(near: list[set[int]], order: Sequence[int]) -> list[int]:
+    """For each step of ``order``, the step after which its vertex leaves the
+    frontier: the last step of a vertex in its neighbourhood ``near``."""
+    step = [0] * len(order)
+    for i, v in enumerate(order):
+        step[v] = i
+    return [max(map(step.__getitem__, near[v])) for v in order]
+
+
 def dict_frontier_counts(h: MixedHypergraph, order: Sequence[int], near: list[set[int]]) -> list[int]:
     """``counts[k]``: the feasible partitions of ``h`` with ``k`` blocks, for
     ``k = 0..n``, by the frontier programme along ``order``; ``near`` is
-    ``_neighbourhoods(h)``.  Each step maps the frontier to slots through a
+    ``neighbourhoods(h)``.  Each step maps the frontier to slots through a
     dict, tests each closing edge on a set of its other members' blocks, and
     keeps the blocks a vertex may join as a set."""
     step = [0] * len(order)
@@ -236,6 +257,27 @@ def per_edge_canonical_edges(edges: Iterable[Iterable[int]], n: int, kind: str) 
     except TypeError:  # the family or one of its edges is not iterable
         raise ValueError(f"{kind}-edges must be a list of vertex lists") from None
     return tuple(sorted(out))
+
+
+def vertex_signatures(h: MixedHypergraph) -> list[tuple]:
+    """Each vertex's counts of its edges per kind and size, edge by edge."""
+    sigs: list[Counter] = [Counter() for _ in range(h.n)]
+    for kind, edges in (("c", h.c_edges), ("d", h.d_edges)):
+        for e in edges:
+            for v in e:
+                sigs[v][(kind, len(e))] += 1
+    return [tuple(sorted(c.items())) for c in sigs]
+
+
+def pair_profiles(h: MixedHypergraph) -> dict[tuple[int, int], tuple]:
+    """Each pair of vertices that share an edge with its counts of the edges
+    they share per kind and size, edge by edge."""
+    prof: dict[tuple[int, int], Counter] = {}
+    for kind, edges in (("c", h.c_edges), ("d", h.d_edges)):
+        for e in edges:
+            for a, b in combinations(e, 2):
+                prof.setdefault((a, b), Counter())[(kind, len(e))] += 1
+    return {pair: tuple(sorted(c.items())) for pair, c in prof.items()}
 
 
 def per_row_dumps(h: MixedHypergraph) -> str:

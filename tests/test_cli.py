@@ -409,6 +409,18 @@ class TestDeltaAndGaps:
         assert run(capsys, "delta", "--set", "5,3,2")[1] == "8\n"
         assert run(capsys, "delta", "--set", "2")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("delta", "--set", "1_0,2"), ("delta", "--set", "٤,٢"), ("construct", "--set", "٥,٢")]
+    )
+    def test_set_takes_only_ascii_digits(self, capsys, argv):
+        # int() alone reads "1_0" as 10 and Arabic-Indic digits as 4, 5 and 2
+        expected = f"error: --set expects comma-separated integers, got {argv[-1]!r}\n"
+        assert run(capsys, *argv) == (2, "", expected)
+
+    @pytest.mark.parametrize("value", ["4, 2", "+4,2", " 4 ,2,", "4,,2"])
+    def test_set_allows_spaces_signs_and_empty_parts(self, capsys, value):
+        assert run(capsys, "delta", "--set", value) == (0, "6\n", "")
+
     def test_gaps(self, capsys, doc42, tmp_path):
         assert run(capsys, "gaps", doc42) == (0, "3\n", "")
         path = tmp_path / "h62.json"

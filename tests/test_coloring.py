@@ -36,15 +36,17 @@ from mixedhg import (
 
 from mixedhg import coloring
 from mixedhg.coloring import (
+    _counting_plan,
     _frontier_counts,
     _greedy_order,
-    _neighbourhoods,
 )
 
 from _oracles import (
     brute_force_partitions,
     brute_force_spectrum,
     dict_frontier_counts,
+    leave_points,
+    neighbourhoods,
     per_edge_partition_rows,
     stirling_second,
 )
@@ -215,6 +217,27 @@ def sparse_instance(seed: int) -> MixedHypergraph:
     return MixedHypergraph(13, rng.sample(triples, 5), rng.sample(pairs, 12))
 
 
+def random_hypergraph(rng: random.Random) -> MixedHypergraph:
+    """1-9 vertices and up to eight C- and eight D-edges of 2-5 vertices."""
+    n = rng.randint(1, 9)
+
+    def edges():
+        return [rng.sample(range(n), rng.randint(2, min(n, 5))) for _ in range(rng.randint(0, 8))] if n > 1 else []
+
+    return MixedHypergraph(n, edges(), edges())
+
+
+def pool_instances() -> list[MixedHypergraph]:
+    pool = json.loads(POOL.read_text(encoding="utf-8"))
+    return [MixedHypergraph(i["n"], i["c_edges"], i["d_edges"]) for i in pool["listed"] + pool["counted"]]
+
+
+def paper_constructions() -> list[MixedHypergraph]:
+    """The constructions of the 1,012 subsets of {2..12} with 2-5 values."""
+    sets = (v for size in range(2, 6) for v in itertools.combinations(range(2, 13), size))
+    return [smallest_one_realization(TargetSet(values)) for values in sets]
+
+
 class TestFrontierCounts:
     def test_order_does_not_change_the_counts(self):
         rng = random.Random(2011)
@@ -225,12 +248,12 @@ class TestFrontierCounts:
             construct_two(TargetSet((4, 3))),
         ]
         for h in cases:
-            near = _neighbourhoods(h)
+            near = neighbourhoods(h)
             shuffled = list(range(h.n))
             rng.shuffle(shuffled)
-            expected = _frontier_counts(h, range(h.n), near)
-            assert _frontier_counts(h, _greedy_order(near), near) == expected
-            assert _frontier_counts(h, shuffled, near) == expected
+            expected = _frontier_counts(h, range(h.n), leave_points(near, range(h.n)))
+            for order in (_greedy_order(near), shuffled):
+                assert _frontier_counts(h, order, leave_points(near, order)) == expected
 
     def test_matches_the_dict_programme(self):
         # the set-based programme of _oracles as the reference: sparse
@@ -239,16 +262,63 @@ class TestFrontierCounts:
         # force's reach, and every construction of the paper's target sets
         rng = random.Random(2011)
         for h in [sparse_instance(seed) for seed in range(16)] + [MixedHypergraph(25, [], [])]:
-            near = _neighbourhoods(h)
+            near = neighbourhoods(h)
             shuffled = list(range(h.n))
             rng.shuffle(shuffled)
             for order in (_greedy_order(near), shuffled):
-                assert _frontier_counts(h, order, near) == dict_frontier_counts(h, order, near)
-        for values in (v for size in range(2, 6) for v in itertools.combinations(range(2, 13), size)):
-            h = smallest_one_realization(TargetSet(values))
-            near = _neighbourhoods(h)
+                assert _frontier_counts(h, order, leave_points(near, order)) == dict_frontier_counts(h, order, near)
+        for h in paper_constructions():
+            near = neighbourhoods(h)
+            order, leave = _counting_plan(h)
+            assert _frontier_counts(h, order, leave) == dict_frontier_counts(h, order, near), h
+
+    def test_matches_the_dict_programme_on_pool_and_random_instances(self):
+        # the 96 sparse instances of the benchmark's pool, and random ones
+        # with edges of every shape, along the plan and a shuffled order
+        rng = random.Random(25)
+        for h in pool_instances() + [random_hypergraph(rng) for _ in range(400)]:
+            near = neighbourhoods(h)
+            shuffled = list(range(h.n))
+            rng.shuffle(shuffled)
+            for order, leave in (_counting_plan(h), (shuffled, leave_points(near, shuffled))):
+                assert _frontier_counts(h, order, leave) == dict_frontier_counts(h, order, near), h
+
+    def test_plan_is_the_greedy_order_and_its_leave_points(self):
+        # one pass over the vertex pairs gives what the neighbourhoods built
+        # edge by edge give; a complete primal graph skips the greedy order
+        rng = random.Random(7)
+        cases = paper_constructions() + pool_instances() + [random_hypergraph(rng) for _ in range(400)]
+        complete = 0
+        for h in cases:
+            near = neighbourhoods(h)
             order = _greedy_order(near)
-            assert _frontier_counts(h, order, near) == dict_frontier_counts(h, order, near), values
+            assert _counting_plan(h) == (order, leave_points(near, order)), h
+            complete += all(len(vs) == h.n for vs in near)
+        assert complete > 627  # the paper's 627, and random ones
+
+    def test_complete_primal_graphs_outside_the_paper_shapes_run_in_id_order(self):
+        # only long edges (size-4 C-edges) cover every pair, one vertex, and
+        # one D-pair: the plan is id order, every vertex leaving at the last step
+        rng = random.Random(4)
+        cases = [
+            MixedHypergraph(6, list(itertools.combinations(range(6), 4)), []),
+            MixedHypergraph(7, [(0, 1, 2, 3), (0, 4, 5, 6), (1, 2, 4, 5), (1, 3, 5, 6), (2, 3, 4, 6), (0, 1, 5, 6),
+                                (0, 2, 3, 4)], []),
+            MixedHypergraph(1, [], []),
+            MixedHypergraph(2, [], [(0, 1)]),
+        ]
+        for n in range(5, 9):
+            quads = list(itertools.combinations(range(n), 4))
+            rng.shuffle(quads)
+            cases.append(MixedHypergraph(n, quads[: len(quads) // 2], rng.sample(quads, 3)))
+        for h in cases:
+            near = neighbourhoods(h)
+            assert all(len(vs) == h.n for vs in near), h
+            assert _counting_plan(h) == (list(range(h.n)), [h.n - 1] * h.n)
+            assert chromatic_spectrum(h).counts == brute_force_spectrum(h)
+            assert _frontier_counts(h, *_counting_plan(h)) == dict_frontier_counts(h, range(h.n), near)
+        assert chromatic_spectrum(MixedHypergraph(1, [], [])).counts == (1,)
+        assert chromatic_spectrum(MixedHypergraph(2, [], [(0, 1)])).counts == (0, 1)
 
     def test_counting_runs_along_the_greedy_order(self, monkeypatch):
         # a path numbered from both ends: id order keeps half the path open,
@@ -257,19 +327,20 @@ class TestFrontierCounts:
         orders = []
         frontier_counts = coloring._frontier_counts
 
-        def record(h, order, near):
+        def record(h, order, leave):
             orders.append(list(order))
-            return frontier_counts(h, order, near)
+            return frontier_counts(h, order, leave)
 
         monkeypatch.setattr(coloring, "_frontier_counts", record)
         chromatic_spectrum(h)
-        assert orders == [_greedy_order(_neighbourhoods(h))] == [[0, 9, 1, 8, 2, 7, 3, 6, 4, 5]]
+        assert orders == [_greedy_order(neighbourhoods(h))] == [[0, 9, 1, 8, 2, 7, 3, 6, 4, 5]]
 
     def test_greedy_order_is_id_order_on_complete_primal_graphs(self):
         # every vertex shares an edge with every other: the greedy order is id order
         h = construct_one(TargetSet((5, 3, 2)))
-        assert all(len(vs) == h.n for vs in _neighbourhoods(h))
-        assert _greedy_order(_neighbourhoods(h)) == list(range(h.n))
+        assert all(len(vs) == h.n for vs in neighbourhoods(h))
+        assert _greedy_order(neighbourhoods(h)) == list(range(h.n))
+        assert _counting_plan(h) == (list(range(h.n)), [h.n - 1] * h.n)
         assert chromatic_spectrum(h).counts == brute_force_spectrum(h)
 
     def test_relabelled_path_counts_like_the_path(self):

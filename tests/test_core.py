@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from mixedhg import (
     are_isomorphic,
     construct_one,
     is_isomorphism,
+    smallest_one_realization,
 )
 from mixedhg import core
-from mixedhg.core import QUOTE_BYTES, _canonical_edges, _quote, _slices
+from mixedhg.core import QUOTE_BYTES, _canonical_edges, _incidence_profiles, _quote, _slices
 
-from _oracles import per_edge_canonical_edges
+from _oracles import pair_profiles, per_edge_canonical_edges, vertex_signatures
 
 
 class TestConstruction:
@@ -78,6 +80,11 @@ class TestConstruction:
         assert rebuilt.n == 6
         assert rebuilt.c_edges == generated.c_edges
         assert rebuilt.d_edges == generated.d_edges
+
+    def test_first_bad_label_is_named(self):
+        with pytest.raises(ValueError) as info:
+            MixedHypergraph(3, [], [], labels=[(1, 2), (2, 1.0), (True, 3)])
+        assert str(info.value) == "label (2, 1.0) must be a tuple of integers"
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
@@ -157,6 +164,36 @@ class TestBulkEdgeChecks:
         assert got == outcome(per_edge_canonical_edges)
         if not isinstance(got, str):
             assert all(type(v) is int for e in got for v in e)
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["one-length", "mixed-lengths"])
+    def test_column_and_bulk_checks_match_the_per_edge_loop(self, uniform):
+        # one edge length goes through the column check, mixed lengths through
+        # the bulk one: the same edges or the same error text, on families
+        # with bools, floats, out-of-range vertices and 0- or 1-vertex edges
+        rng = random.Random(uniform)
+        odd = [True, False, 1.0, 2.5, -1, 7, 6]
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            width = rng.randint(0, 4)
+            family = []
+            for _ in range(rng.randint(0, 8)):
+                size = width if uniform else rng.randint(0, 4)
+                if rng.random() < 0.1:
+                    edge = [rng.choice(odd + list(range(n))) for _ in range(size)]
+                elif rng.random() < 0.7:
+                    edge = sorted(rng.sample(range(n), min(size, n)))
+                else:
+                    edge = [rng.randrange(n) for _ in range(size)]
+                family.append(edge)
+            if rng.random() < 0.5:
+                family = sorted(family)
+            outcomes = []
+            for canonical_edges in (_canonical_edges, per_edge_canonical_edges):
+                try:
+                    outcomes.append(canonical_edges([list(e) for e in family], n, "D"))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (n, family)
 
     def test_canonical_family_is_returned_as_it_is(self):
         h = construct_one(TargetSet((5, 3, 2)))
@@ -367,6 +404,20 @@ class TestIsomorphism:
         triangles = MixedHypergraph(6, [], [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert are_isomorphic(hexagon, triangles) is None
         assert are_isomorphic(triangles, hexagon) is None
+
+    def test_profiles_match_the_edge_by_edge_counts(self):
+        # the 97 paper constructions within the cap, and random hypergraphs
+        # with edges of 2-5 vertices
+        rng = random.Random(12)
+        sets = (v for size in range(2, 6) for v in itertools.combinations(range(2, 13), size))
+        cases = [h for h in map(smallest_one_realization, map(TargetSet, sets)) if h.n <= ISO_VERTEX_CAP]
+        assert len(cases) == 97
+        for _ in range(500):
+            n = rng.randint(2, ISO_VERTEX_CAP)
+            c, d = ([rng.sample(range(n), rng.randint(2, min(n, 5))) for _ in range(rng.randint(0, 10))] for _ in "cd")
+            cases.append(MixedHypergraph(n, c, d))
+        for h in cases:
+            assert _incidence_profiles(h) == (vertex_signatures(h), pair_profiles(h)), h
 
     def test_cap_enforced(self):
         big = MixedHypergraph(ISO_VERTEX_CAP + 1, [], [(0, 1)])
