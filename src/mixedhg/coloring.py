@@ -15,8 +15,8 @@ along id order when every vertex shares an edge with every other, else along
 one greedy vertex order, and never visits a partition one by one; it has
 quick rules for D-pairs and C-triples, the edges of the paper's
 constructions, and one general rule per kind for every other edge.  Every
-operation runs in this process: ``jobs`` is accepted, ignored, and starts no
-workers.
+operation runs in this process: ``all_feasible_partitions`` and
+``chromatic_spectrum`` accept ``jobs``, ignore it, and start no workers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import MixedHypergraph, _columns, _slices
+from .core import MixedHypergraph, _columns, _quote, _slices
 
 FeasibleSet = tuple[int, ...]
 
@@ -418,9 +418,11 @@ def _partitions(h: MixedHypergraph, k: Optional[int]) -> list[Partition]:
     return Partition._from_rows(_partition_rows(h, k))
 
 
-def enumerate_strict(h: MixedHypergraph, k: int, jobs: int = 1) -> list[Partition]:
+def enumerate_strict(h: MixedHypergraph, k: int) -> list[Partition]:
     """All feasible partitions of ``h`` into exactly ``k`` blocks, in
     lexicographic restricted-growth order."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {_quote(k)}")
     if not 1 <= k <= h.n:
         raise ValueError(f"k={k} out of range 1..{h.n}")
     return _partitions(h, k)
@@ -443,9 +445,9 @@ def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:
     return Spectrum(tuple(counts))
 
 
-def feasible_set(h: MixedHypergraph, jobs: int = 1) -> FeasibleSet:
+def feasible_set(h: MixedHypergraph) -> FeasibleSet:
     """The sorted set of block counts that admit a feasible partition."""
-    return chromatic_spectrum(h, jobs=jobs).feasible_values()
+    return chromatic_spectrum(h).feasible_values()
 
 
 def has_gap_at(values: Iterable[int], k: int) -> bool:

@@ -82,31 +82,20 @@ def construction_labels(ts: TargetSet) -> list[Label]:
     return labels
 
 
-def _agreement_words(labels: list[Label]) -> tuple[np.ndarray, np.ndarray]:
-    """``words[w, i, j]``: bits ``64*w .. 64*w + 63`` of the coordinates at
-    which labels ``i`` and ``j`` agree, and ``full``, the same words with
-    every coordinate set."""
-    lab = np.array(labels)
-    n, s = lab.shape
-    width = 8 * -(-s // 64)  # bytes, whole words
-    words = np.zeros((n, n, width), dtype=np.uint8)
-    words[:, :, : -(-s // 8)] = np.packbits(lab[:, None] == lab[None], axis=2, bitorder="little")
-    full = np.zeros(width, dtype=np.uint8)
-    full[: -(-s // 8)] = np.packbits(np.ones(s, dtype=bool), bitorder="little")
-    return np.ascontiguousarray(words.view("<u8").transpose(2, 0, 1)), full.view("<u8")
-
-
 def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]:
     """C-edges: the vertex triples whose labels take exactly two distinct
     values at every coordinate.  D-edges: the pairs whose labels differ at
-    every coordinate.  Both are read off the packed agreement words of
-    ``_agreement_words``, the triples a chunk of first vertices at a time:
-    as many as keep the triple test's arrays within ``core.WORKING_BYTES``,
-    and at least one, whose arrays are m x m words for its m later vertices
-    (larger than the budget from 1,026 vertices on).  ``argwhere`` yields them
-    in lexicographic order."""
+    every coordinate.  Both are read off the agreement words
+    ``agree[w, i, j]``, bits ``64*w .. 64*w + 63`` of the coordinates at
+    which labels ``i`` and ``j`` agree (``core._packed``); a label's words
+    with itself have every coordinate set.  The triples are tested a chunk
+    of first vertices at a time: as many as keep the triple test's arrays
+    within ``core.WORKING_BYTES``, and at least one, whose arrays are m x m
+    words for its m later vertices (larger than the budget from 1,026
+    vertices on).  ``argwhere`` yields them in lexicographic order."""
     n = len(labels)
-    agree, full = _agreement_words(labels)
+    lab = np.array(labels)
+    agree = np.ascontiguousarray(core._packed(lab[:, None] == lab[None]).transpose(2, 0, 1))
     idx = np.arange(n)
     upper = idx[:, None] < idx[None, :]
     c_edges: list[list[int]] = []
@@ -116,7 +105,7 @@ def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]
         m = n - at - 1
         stop = min(n - 2, at + max(1, core.WORKING_BYTES // (8 * m * m)))
         ok = (idx[: stop - at, None] <= idx[:m])[:, :, None] & upper[at + 1 :, at + 1 :]  # i < j < k
-        for a, f in zip(agree, full):
+        for a, f in zip(agree, agree[:, 0, 0]):  # f: every coordinate set
             ij = a[at:stop, at + 1 :]
             # labels take two values at a coordinate exactly when one of ij
             # and ik agrees there, or jk agrees there and so not ij (nor ik)
@@ -144,35 +133,37 @@ def _variant_labels(ts: TargetSet, which: str) -> list[Label]:
     return labels
 
 
-def construct_one(ts: TargetSet) -> MixedHypergraph:
-    """The variant-one realization on ``2*n_1 - n_s`` labeled vertices, with
-    the edges of ``_label_edges``."""
-    labels = construction_labels(ts)
+def _realization(ts: TargetSet, which: str) -> MixedHypergraph:
+    """Variant ``which`` on its labels, with the edges of ``_label_edges``."""
+    labels = _variant_labels(ts, which)
     return MixedHypergraph(len(labels), *_label_edges(labels), labels)
+
+
+def construct_one(ts: TargetSet) -> MixedHypergraph:
+    """The variant-one realization on ``2*n_1 - n_s`` labeled vertices."""
+    return _realization(ts, "one")
 
 
 def construct_two(ts: TargetSet) -> MixedHypergraph:
-    """The variant-two realization: variant one minus the vertex labeled
-    ``(n_2, 1, ..., 1)``, built from its own labels."""
-    labels = _variant_labels(ts, "two")
-    return MixedHypergraph(len(labels), *_label_edges(labels), labels)
+    """The variant-two realization: variant one without ``(n_2, 1, ..., 1)``."""
+    return _realization(ts, "two")
 
 
 def canonical_coloring(ts: TargetSet, i: int, which: str = "one") -> Partition:
     """The feasible partition grouping vertices by coordinate ``i`` (1-based).
 
-    Read off either variant's labels; the result has exactly ``n_i`` blocks.
+    Read off either variant's labels, numbering the values of coordinate
+    ``i`` by first occurrence; the result has exactly ``n_i`` blocks.
     """
+    if type(i) is not int:
+        raise ValueError(f"coordinate index must be an int, got {_quote(i)}")
     if not 1 <= i <= ts.size:
         raise ValueError(f"coordinate index {i} out of range 1..{ts.size}")
-    groups: dict[int, list[int]] = {}
-    for v, lab in enumerate(_variant_labels(ts, which)):
-        groups.setdefault(lab[i - 1], []).append(v)
-    if len(groups) != ts.values[i - 1]:
-        raise AssertionError(
-            f"coordinate {i} spans {len(groups)} values, expected {ts.values[i - 1]}"
-        )
-    return Partition.from_blocks(groups.values())
+    first: dict[int, int] = {}
+    row = tuple(first.setdefault(lab[i - 1], len(first)) for lab in _variant_labels(ts, which))
+    if len(first) != ts.values[i - 1]:
+        raise AssertionError(f"coordinate {i} spans {len(first)} values, expected {ts.values[i - 1]}")
+    return Partition(row)
 
 
 def minimum_size(ts: TargetSet) -> int:
@@ -185,9 +176,7 @@ def minimum_size(ts: TargetSet) -> int:
 def smallest_one_realization(ts: TargetSet) -> MixedHypergraph:
     """The minimum-size one-realization: variant two when the two largest
     values are consecutive, variant one otherwise."""
-    if ts.values[0] == ts.values[1] + 1:
-        return construct_two(ts)
-    return construct_one(ts)
+    return _realization(ts, "two" if ts.values[0] == ts.values[1] + 1 else "one")
 
 
 def is_realizable_set(values: Iterable[int]) -> bool:

@@ -8,6 +8,8 @@ from itertools import chain, combinations, groupby, pairwise, starmap
 from operator import itemgetter, lt
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 Edge = tuple[int, ...]
 Label = tuple[int, ...]
 
@@ -37,6 +39,17 @@ def _slices(length: int, item_bytes: int) -> Iterator[slice]:
     ``WORKING_BYTES // item_bytes`` items and at least one."""
     step = max(1, WORKING_BYTES // max(1, item_bytes))
     return (slice(at, min(at + step, length)) for at in range(0, length, step))
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """``bits`` packed along the last axis into little-endian 64-bit words:
+    bit ``j % 64`` of word ``j // 64`` is ``bits[..., j]``, zero past the end.
+    The bytes are copied into zeros, as ``np.pad`` costs more than packing."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    words = np.zeros(packed.shape[:-1] + (width + -width % 8,), dtype=np.uint8)
+    words[..., :width] = packed
+    return words.view("<u8")
 
 
 def _columns(rows: list[Edge], width: int) -> list[list[int]]:

@@ -140,6 +140,19 @@ class TestEnumerateStrict:
         with pytest.raises(ValueError):
             enumerate_strict(h, 3)
 
+    @pytest.mark.parametrize("k", [2.5, True, 2.0, "2", None])
+    def test_k_must_be_an_int(self, k):
+        # 2.5 used to list the six 3-block partitions, True the one 1-block partition
+        with pytest.raises(ValueError, match="k must be an int"):
+            enumerate_strict(MixedHypergraph(4, [], []), k)
+
+    def test_feasible_set_and_enumerate_strict_take_no_jobs(self):
+        h = MixedHypergraph(3, [], [])
+        with pytest.raises(TypeError):
+            enumerate_strict(h, 2, jobs=2)
+        with pytest.raises(TypeError):
+            feasible_set(h, jobs=2)
+
     def test_lexicographic_order(self):
         h = MixedHypergraph(4, [], [])
         got = [p.assignment for p in enumerate_strict(h, 2)]
@@ -593,11 +606,9 @@ class TestJobs:
         cases = [sparse_instance(7), construct_one(TargetSet((5, 3, 2))), MixedHypergraph(5, [(0, 1)], [(0, 1)])]
         for h in cases:
             listed = all_feasible_partitions(h)
-            strict = [enumerate_strict(h, k) for k in range(1, h.n + 1)]
             spectrum = chromatic_spectrum(h)
             for jobs in (2, 4):
                 assert all_feasible_partitions(h, jobs=jobs) == listed
-                assert [enumerate_strict(h, k, jobs=jobs) for k in range(1, h.n + 1)] == strict
                 assert chromatic_spectrum(h, jobs=jobs) == spectrum
         assert len(all_feasible_partitions(cases[0])) > 0
 
@@ -610,17 +621,15 @@ class TestJobs:
         h = sparse_instance(7)
         jobs = cpus + 5000
         assert all_feasible_partitions(h, jobs=jobs) == all_feasible_partitions(h)
-        assert enumerate_strict(h, 3, jobs=jobs) == enumerate_strict(h, 3)
         assert chromatic_spectrum(h, jobs=jobs) == chromatic_spectrum(h)
 
     def test_prefix_shards_follow_the_worker_cap(self, no_processes):
-        # every jobs value lists each block count in the walk's prefix order
+        # each block count is listed in the walk's prefix order
         h = MixedHypergraph(8, [], [])
-        for jobs in (1, 2, 5000):
-            for k in range(1, h.n + 1):
-                listed = [p.assignment for p in enumerate_strict(h, k, jobs=jobs)]
-                assert listed == walk_partitions(h, k)
-                assert listed == sorted(listed)
+        for k in range(1, h.n + 1):
+            listed = [p.assignment for p in enumerate_strict(h, k)]
+            assert listed == walk_partitions(h, k)
+            assert listed == sorted(listed)
 
     def test_map_shards_keeps_shard_order(self, no_processes):
         # the full listing keeps lexicographic order whatever jobs is
@@ -641,7 +650,6 @@ class TestJobs:
     def test_enumeration_identical_across_workers(self, jobs):
         h = construct_one(TargetSet((5, 3, 2)))
         assert all_feasible_partitions(h, jobs=jobs) == all_feasible_partitions(h)
-        assert enumerate_strict(h, 3, jobs=jobs) == enumerate_strict(h, 3)
 
     def test_spectrum_identical_across_workers(self):
         h = MixedHypergraph(6, [(0, 1, 2), (3, 4, 5)], [(0, 5), (1, 4)])

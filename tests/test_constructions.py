@@ -176,6 +176,16 @@ def test_masks_match_the_filters(sets):
             assert got == want, (values, variant)
 
 
+def test_more_than_64_coordinates_match_the_filters():
+    # {2..66} has 65 coordinates: every agreement mask spans two 64-bit words
+    ts = TargetSet(range(2, 67))
+    h = smallest_one_realization(ts)
+    assert (h.n, len(h.c_edges), len(h.d_edges)) == (129, 4095, 4097)
+    labels = list(h.labels)
+    assert labels == [lab for lab in construction_labels(ts) if lab != (65,) + (1,) * 64]
+    assert h == MixedHypergraph(len(labels), *filtered_edges(labels), labels)
+
+
 class TestConstructTwo:
     def test_requires_consecutive_leaders(self):
         with pytest.raises(ValueError, match="consecutive"):
@@ -271,6 +281,12 @@ class TestCanonicalColorings:
             canonical_coloring(TargetSet((4, 2)), 3)
         with pytest.raises(ValueError, match="variant"):
             canonical_coloring(TargetSet((4, 2)), 1, which="three")
+
+    @pytest.mark.parametrize("i", [1.5, True, 1.0, "1", None])
+    def test_index_must_be_an_int(self, i):
+        # 1.5 used to raise TypeError, True to read coordinate 1
+        with pytest.raises(ValueError, match="coordinate index must be an int"):
+            canonical_coloring(TargetSet((4, 2)), i)
 
 
 class TestMinimumSize:

@@ -15,7 +15,7 @@ from mixedhg import (
     smallest_one_realization,
 )
 from mixedhg import core
-from mixedhg.core import QUOTE_BYTES, _canonical_edges, _incidence_profiles, _quote, _slices
+from mixedhg.core import QUOTE_BYTES, _canonical_edges, _incidence_profiles, _packed, _quote, _slices
 
 from _oracles import pair_profiles, per_edge_canonical_edges, vertex_signatures
 
@@ -258,6 +258,21 @@ class TestSlices:
         assert list(_slices(3, core.WORKING_BYTES // 2)) == [slice(0, 2), slice(2, 3)]
         working_bytes(10)
         assert list(_slices(5, 5)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
+class TestPacked:
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 203])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+    def test_matches_unpackbits_with_zero_padding(self, width, lead):
+        bits = np.random.default_rng(width).random(lead + (width,)) < 0.5
+        words = _packed(bits)
+        assert words.dtype == np.dtype("<u8") and words.shape == lead + (-(-width // 64),)
+        unpacked = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").astype(bool)
+        assert (unpacked[..., :width] == bits).all()
+        assert not unpacked[..., width:].any()
+        # bit j % 64 of word j // 64
+        j = width - 1
+        assert ((words[..., j // 64] >> np.uint64(j % 64) & np.uint64(1)).astype(bool) == bits[..., j]).all()
 
 
 class TestDerivedSubhypergraph:
