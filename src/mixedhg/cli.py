@@ -15,6 +15,7 @@ import json
 import re
 import sys
 import time
+from itertools import islice
 from typing import Iterable, NoReturn, Optional
 
 from . import coloring, documents, search
@@ -68,7 +69,13 @@ def _parse_int_set(text: str) -> set[int]:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, written in
+    joined batches of 2^16 of the encoder's pieces: a long listing is never
+    one string, and a write per piece would cost more than the encoding."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    for batch in iter(lambda: "".join(islice(pieces, 1 << 16)), ""):
+        sys.stdout.write(batch)
+    print()
 
 
 def _spectrum_report(
@@ -91,7 +98,7 @@ def _spectrum_report(
         report["lower_chromatic_number"] = spectrum.lower_chromatic_number
         report["upper_chromatic_number"] = spectrum.upper_chromatic_number
     if partitions is not None:
-        report["colorings"] = [[list(b) for b in p.blocks] for p in partitions]
+        report["colorings"] = [p.blocks for p in partitions]
     return report
 
 

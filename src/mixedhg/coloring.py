@@ -149,6 +149,8 @@ class Spectrum:
 
     def entry(self, k: int) -> int:
         """Number of feasible partitions with exactly ``k`` blocks."""
+        if type(k) is not int:
+            raise ValueError(f"block count must be an int, got {_quote(k)}")
         if k < 1:
             raise ValueError("block counts start at 1")
         return self.counts[k - 1] if k <= len(self.counts) else 0

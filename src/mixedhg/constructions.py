@@ -88,32 +88,28 @@ def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]
     every coordinate.  Both are read off the agreement words
     ``agree[w, i, j]``, bits ``64*w .. 64*w + 63`` of the coordinates at
     which labels ``i`` and ``j`` agree (``core._packed``); a label's words
-    with itself have every coordinate set.  The triples are tested a chunk
-    of first vertices at a time: as many as keep the triple test's arrays
-    within ``core.WORKING_BYTES``, and at least one, whose arrays are m x m
-    words for its m later vertices (larger than the budget from 1,026
-    vertices on).  ``argwhere`` yields them in lexicographic order."""
+    with itself have every coordinate set.  The triples are tested a run of
+    first vertices at a time (``core._slices``), each first vertex counted
+    as all the agreement words, which bound its triple test's m x m words
+    per plane for its m later vertices.  ``argwhere`` yields them in
+    lexicographic order."""
     n = len(labels)
     lab = np.array(labels)
     agree = np.ascontiguousarray(core._packed(lab[:, None] == lab[None]).transpose(2, 0, 1))
     idx = np.arange(n)
     upper = idx[:, None] < idx[None, :]
     c_edges: list[list[int]] = []
-    at = 0
-    while at < n - 2:
-        # first vertices at..stop-1, and j and k beyond at: m vertices
-        m = n - at - 1
-        stop = min(n - 2, at + max(1, core.WORKING_BYTES // (8 * m * m)))
-        ok = (idx[: stop - at, None] <= idx[:m])[:, :, None] & upper[at + 1 :, at + 1 :]  # i < j < k
+    for part in core._slices(n - 2, agree.nbytes):
+        later = slice(part.start + 1, n)  # j and k beyond the run's first vertex
+        ok = upper[part, later, None] & upper[later, later]  # i < j < k
         for a, f in zip(agree, agree[:, 0, 0]):  # f: every coordinate set
-            ij = a[at:stop, at + 1 :]
+            ij = a[part, later]
             # labels take two values at a coordinate exactly when one of ij
             # and ik agrees there, or jk agrees there and so not ij (nor ik)
             two = ij[:, :, None] ^ ij[:, None, :]
-            two |= a[at + 1 :, at + 1 :] & ~ij[:, :, None]
+            two |= a[later, later] & ~ij[:, :, None]
             ok &= two == f
-        c_edges += (np.argwhere(ok) + (at, at + 1, at + 1)).tolist()
-        at = stop
+        c_edges += (np.argwhere(ok) + (part.start, part.start + 1, part.start + 1)).tolist()
     return c_edges, np.argwhere(upper & ~agree.any(axis=0)).tolist()
 
 

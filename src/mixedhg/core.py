@@ -164,6 +164,9 @@ class MixedHypergraph:
         Vertices are relabeled ``0..len(keep)-1`` preserving their original
         order; labels are carried over.
         """
+        keep = list(keep)
+        if not set(map(type, keep)) <= {int}:
+            raise ValueError(f"vertex set {_quote(keep)} must hold only ints")
         xs = sorted(set(keep))
         if not xs:
             raise ValueError("derived sub-hypergraph needs a nonempty vertex set")
@@ -178,8 +181,8 @@ class MixedHypergraph:
 
     def delete_vertex(self, v: int) -> "MixedHypergraph":
         """Drop one vertex (same as restricting to the rest)."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} not present")
+        if type(v) is not int or not 0 <= v < self.n:
+            raise ValueError(f"vertex {_quote(v)} not present")
         if self.n < 2:
             raise ValueError("cannot delete the last vertex")
         return self.derived_subhypergraph(u for u in range(self.n) if u != v)
@@ -187,7 +190,7 @@ class MixedHypergraph:
     def permuted(self, perm: Iterable[int]) -> "MixedHypergraph":
         """Relabel vertices: old vertex ``v`` becomes ``perm[v]``."""
         p = tuple(perm)
-        if sorted(p) != list(range(self.n)):
+        if not set(map(type, p)) <= {int} or sorted(p) != list(range(self.n)):
             raise ValueError(f"{_quote(p)} is not a permutation of 0..{self.n - 1}")
         c = [tuple(p[v] for v in e) for e in self.c_edges]
         d = [tuple(p[v] for v in e) for e in self.d_edges]

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from mixedhg import MixedHypergraph, TargetSet, coloring, construct_one, constructions
-from mixedhg.cli import _build_parser, main
-from mixedhg.documents import loads, save
+from mixedhg.cli import _build_parser, _spectrum_report, main
+from mixedhg.documents import load_hashed, loads, save
 
 
 def run(capsys, *argv):
@@ -98,6 +98,20 @@ class TestSpectrum:
         report = json.loads(stdout)
         # grouping by second coordinate precedes the all-singletons grouping
         assert report["colorings"] == [[[0], [1], [2, 3]], [[0], [1], [2], [3]]]
+
+    def test_json_listing_is_written_in_batches_of_the_same_bytes(self, capsys, tmp_path):
+        # the Bell(8) = 4,140 partitions of an edgeless document: more than
+        # 2^16 pieces of the encoder, so the report spans two batches
+        path = tmp_path / "edgeless8.json"
+        save(MixedHypergraph(8, [], []), path)
+        code, stdout, _ = run(capsys, "spectrum", str(path), "--list-colorings", "--format", "json")
+        assert code == 0
+        h, sha256 = load_hashed(str(path))
+        partitions = coloring.all_feasible_partitions(h)
+        report = _spectrum_report(str(path), sha256, h, coloring.chromatic_spectrum(h), partitions)
+        assert stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert len(report["colorings"]) == 4140
+        assert sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)) > 1 << 16
 
     def test_edgeless_counts_follow_partition_numbers(self, capsys, tmp_path):
         path = tmp_path / "free3.json"

@@ -195,6 +195,15 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum.entry(0)
 
+    def test_entry_needs_an_int(self):
+        for spectrum in (Spectrum((1, 1)), Spectrum((1,))):
+            for k in (1.5, True, "1"):
+                with pytest.raises(ValueError) as info:
+                    spectrum.entry(k)
+                assert str(info.value) == f"block count must be an int, got {k!r}"
+        with pytest.raises(ValueError, match="block counts start at 1"):
+            Spectrum((1,)).entry(0)
+
     def test_trailing_zeros_rejected(self):
         with pytest.raises(ValueError):
             Spectrum((1, 0))

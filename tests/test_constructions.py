@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -142,11 +143,11 @@ def test_label_masks_match_the_filters_on_random_labels():
     assert found >= 20, found
 
 
-@pytest.mark.parametrize("limit", [1, 8 * 10 * 10])
+@pytest.mark.parametrize("limit", [1, 4 * 8 * 20 * 20])
 def test_small_budgets_give_the_same_edges(working_bytes, limit):
-    # at 1 byte every chunk is one first vertex whose arrays exceed the
-    # budget, which the default budget gives only from 1,026 vertices on; at
-    # 100 words the chunks of the later first vertices hold several
+    # a first vertex counts as all the agreement words: at 1 byte every chunk
+    # is one first vertex; at four 20-vertex one-word tables the random labels
+    # run in chunks of four first vertices and a short last chunk of two
     working_bytes(limit)
     rng = random.Random(24)
     labels = [construction_labels(TargetSet(values)) for values in [(4, 2), (6, 4, 3), (9, 5, 3, 2)]]
@@ -184,6 +185,19 @@ def test_more_than_64_coordinates_match_the_filters():
     labels = list(h.labels)
     assert labels == [lab for lab in construction_labels(ts) if lab != (65,) + (1,) * 64]
     assert h == MixedHypergraph(len(labels), *filtered_edges(labels), labels)
+
+
+def test_more_than_64_coordinates_peak_memory():
+    # each first vertex counts as all the agreement words, so {2..66} runs
+    # in chunks of 31 first vertices whose arrays never grow to the budget
+    ts = TargetSet(range(2, 67))
+    tracemalloc.start()
+    try:
+        smallest_one_realization(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20, peak
 
 
 class TestConstructTwo:

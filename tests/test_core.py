@@ -226,6 +226,7 @@ class TestErrorSize:
             lambda: MixedHypergraph(10**300, labels=[(0,)]),
             lambda: MixedHypergraph(2, labels=[big + [None], (1,)]),
             lambda: h.derived_subhypergraph(big),
+            lambda: h.derived_subhypergraph(big + [0.5]),
             lambda: h.permuted(big),
             lambda: h.label_index(big),
             lambda: TargetSet(tuple(big)),
@@ -357,6 +358,35 @@ class TestPermuted:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             MixedHypergraph(3, [], []).permuted((0, 0, 1))
+
+
+class TestVertexArguments:
+    # each vertex argument is an exact int: a float, a string or a bool is
+    # refused with the input quoted, as a vertex of an edge is
+    def test_delete_vertex(self):
+        h = MixedHypergraph(3, [(0, 1, 2)], [(0, 1)])
+        for v in (1.5, True, "1"):
+            with pytest.raises(ValueError) as info:
+                h.delete_vertex(v)
+            assert str(info.value) == f"vertex {v!r} not present"
+
+    def test_derived_subhypergraph(self):
+        h = MixedHypergraph(3, [(0, 1, 2)], [(0, 1)])
+        for keep in ([0.5, 1], ["a", 1], [True, 2], [[1], 2]):
+            with pytest.raises(ValueError) as info:
+                h.derived_subhypergraph(keep)
+            assert str(info.value) == f"vertex set {keep!r} must hold only ints"
+        # a generator is quoted as the vertices it gave
+        with pytest.raises(ValueError, match=r"vertex set \[0, 1\.0\] must hold only ints"):
+            h.derived_subhypergraph(v / 1 if v else v for v in range(2))
+
+    def test_permuted(self):
+        h = MixedHypergraph(3, [(0, 1, 2)], [(0, 1)], labels=[(0,), (1,), (2,)])
+        for perm in ([0, 1, 2.0], [True, False, 2], ["a", 1, 2]):
+            with pytest.raises(ValueError) as info:
+                h.permuted(perm)
+            assert str(info.value) == f"{tuple(perm)!r} is not a permutation of 0..2"
+        assert h.permuted([1, 0, 2]).labels == ((1,), (0,), (2,))
 
 
 class TestIsomorphism:
