@@ -7,10 +7,12 @@ next unused one.  Listing is level by level in vertex id order, one
 vectorised step per vertex over all partial partitions at once, so results
 always come out in lexicographic restricted-growth order; at each vertex the
 edges it closes are tested by group (one kind and size), each group on every
-row at once.  The listed ``Partition`` objects are built in bulk from the
-checked rows, with the process's cyclic garbage collector paused while they
-are made (re-enabled afterwards only if it was enabled; a thread that runs
-meanwhile runs with it paused too).  Counting is a frontier dynamic programme
+row at once.  The rows are checked once, in numpy, over contiguous copies
+of their columns; the listed ``Partition`` objects are then built in bulk,
+each assignment tuple unpacked by ``struct`` from its row's bytes, with the
+process's cyclic garbage collector paused while they are made (re-enabled
+afterwards only if it was enabled; a thread that runs meanwhile runs with it
+paused too).  Counting is a frontier dynamic programme
 along id order when every vertex shares an edge with every other, else along
 one greedy vertex order, and never visits a partition one by one; it has
 quick rules for D-pairs and C-triples, the edges of the paper's
@@ -22,6 +24,7 @@ operation runs in this process: ``all_feasible_partitions`` and
 from __future__ import annotations
 
 import gc
+import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import combinations, groupby, repeat
@@ -53,7 +56,7 @@ class Partition:
         top = -1
         for v, b in enumerate(a):
             if type(b) is not int or b < 0 or b > top + 1:
-                raise ValueError(f"assignment {a} is not a restricted-growth string (vertex {v})")
+                raise ValueError(f"assignment {_quote(a)} is not a restricted-growth string (vertex {v})")
             if b > top:
                 top = b
 
@@ -68,7 +71,7 @@ class Partition:
         for i, g in enumerate(groups):
             for v in g:
                 if type(v) is not int:
-                    raise ValueError(f"vertex {v!r} is not an integer")
+                    raise ValueError(f"vertex {_quote(v)} is not an integer")
                 if v in assignment:
                     raise ValueError(f"vertex {v} appears in two blocks")
                 assignment[v] = i
@@ -86,22 +89,23 @@ class Partition:
         assignment; only then are the objects built without that check.  A
         bad row raises the error ``Partition(row)`` raises.
         """
+        rows = rows.astype(rows.dtype.newbyteorder("="), copy=False)  # struct reads native order
         bad = np.zeros(len(rows), dtype=bool)
         top = np.full(len(rows), -1, dtype=rows.dtype)  # the running maximum of each row
-        for col in rows.T:
+        for col in np.ascontiguousarray(rows.T):  # contiguous columns: a strided pass is about 2x slower
             bad |= (col < 0) | (col > top + 1)
             np.maximum(top, col, out=top)
         if bad.any():
             cls(tuple(rows[bad.argmax()].tolist()))  # raises the error of the first bad row
         del bad, top  # building the objects is the peak of listing's memory
+        row = struct.Struct(f"{rows.shape[1]}{rows.dtype.char}")  # one row's bytes as its assignment tuple
         # the new objects hold only ints and form no cycles, so a collection
         # while they are made would walk the heap and free nothing
         enabled = gc.isenabled()
         gc.disable()
         try:
             out = list(map(object.__new__, repeat(cls, len(rows))))
-            # by columns: far fewer list objects
-            deque(map(cls.assignment.__set__, out, zip(*rows.T.tolist())), maxlen=0)
+            deque(map(cls.assignment.__set__, out, row.iter_unpack(rows.tobytes())), maxlen=0)
         finally:
             if enabled:
                 gc.enable()
@@ -138,8 +142,11 @@ class Spectrum:
     def __post_init__(self) -> None:
         c = tuple(self.counts)
         object.__setattr__(self, "counts", c)
-        if any(x < 0 for x in c):
-            raise ValueError("spectrum entries must be non-negative")
+        for x in c:
+            if type(x) is not int:
+                raise ValueError(f"spectrum entries must be ints, got {_quote(x)}")
+            if x < 0:
+                raise ValueError("spectrum entries must be non-negative")
         if c and c[-1] == 0:
             raise ValueError("spectrum must not carry trailing zeros")
 

@@ -15,7 +15,9 @@ The per-edge validation loop and the per-row document renderer are the core
 and document code as they were before their bulk checks and one-call
 rendering, and the edge-by-edge isomorphism profiles those of before they
 were counted per group of edges.  The per-edge row engine is
-the listing engine as it was before it tested closing edges by group.  The
+the listing engine as it was before it tested closing edges by group, and
+the column-zip build the ``Partition`` build as it was before it unpacked
+each row's bytes.  The
 popcount build of the partition masks is ``_partition_masks`` as it was
 before its subset recurrence.  The product of partition choices decides
 whether a set has a one-realization on ``n`` vertices among all mixed
@@ -142,6 +144,23 @@ def per_edge_partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.n
             live = used + (n - 1 - v) >= k
             rows, used = rows[live], used[live]
     return rows
+
+
+def column_zip_partitions(rows: np.ndarray) -> list[Partition]:
+    """``Partition._from_rows`` as it was before it unpacked each row's
+    bytes: checked over the strided columns of ``rows.T``, then one tuple
+    per row zipped from the column lists of Python ints."""
+    bad = np.zeros(len(rows), dtype=bool)
+    top = np.full(len(rows), -1, dtype=rows.dtype)
+    for col in rows.T:
+        bad |= (col < 0) | (col > top + 1)
+        np.maximum(top, col, out=top)
+    if bad.any():
+        Partition(tuple(rows[bad.argmax()].tolist()))
+    out = [object.__new__(Partition) for _ in range(len(rows))]
+    for p, assignment in zip(out, zip(*rows.T.tolist())):
+        object.__setattr__(p, "assignment", assignment)
+    return out
 
 
 # --- the dict frontier programme ---------------------------------------------

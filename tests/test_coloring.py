@@ -44,6 +44,7 @@ from mixedhg.coloring import (
 from _oracles import (
     brute_force_partitions,
     brute_force_spectrum,
+    column_zip_partitions,
     dict_frontier_counts,
     leave_points,
     neighbourhoods,
@@ -100,6 +101,13 @@ class TestPartition:
             Partition.from_blocks([[0, True]])
         with pytest.raises(ValueError, match="not an integer"):
             Partition.from_blocks([[0], [1.0]])
+
+    def test_huge_inputs_give_short_messages(self):
+        for call in (lambda: Partition(tuple(range(1, 100_000))), lambda: Partition.from_blocks([["x" * 100_000]])):
+            with pytest.raises(ValueError) as info:
+                call()
+            # the CLI prints it as one "error: ..." line, as it does every other input error
+            assert len(f"error: {info.value}\n".encode()) < 256, str(info.value)
 
 
 class TestIsProper:
@@ -203,6 +211,12 @@ class TestSpectrum:
                 assert str(info.value) == f"block count must be an int, got {k!r}"
         with pytest.raises(ValueError, match="block counts start at 1"):
             Spectrum((1,)).entry(0)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "a"])
+    def test_counts_must_be_ints(self, bad):
+        with pytest.raises(ValueError) as info:
+            Spectrum((bad,))
+        assert str(info.value) == f"spectrum entries must be ints, got {bad!r}"
 
     def test_trailing_zeros_rejected(self):
         with pytest.raises(ValueError):
@@ -552,6 +566,43 @@ class TestListedPartitions:
 
     def test_no_rows_give_no_partitions(self):
         assert Partition._from_rows(np.zeros((0, 5), dtype=np.int16)) == []
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", ["i1", "i2", "i4", "i8", "<i2", ">i2", ">i4", ">i8"])
+    def test_build_matches_the_column_zip(self, dtype, order):
+        # random restricted-growth rows in every byte order and memory layout
+        rng = random.Random(f"{dtype} {order}")
+        for count, n in [(0, 5), (1, 1), (7, 1), (300, 12), (50, 40)]:
+            strings = []
+            for _ in range(count):
+                row = [0]
+                for _ in range(n - 1):
+                    row.append(rng.randint(0, max(row) + 1))
+                strings.append(row)
+            rows = np.asarray(np.array(strings, dtype=dtype).reshape(count, n), order=order)
+            assert rows.dtype == np.dtype(dtype) and rows.flags[f"{order}_CONTIGUOUS"]
+            for view in (rows, rows[::3]):
+                built = Partition._from_rows(view)
+                assert built == column_zip_partitions(view) == [Partition(tuple(r)) for r in view.tolist()]
+                assert all(type(p.assignment) is tuple and all(type(b) is int for b in p.assignment) for p in built)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bad_byte_swapped_rows_raise_the_constructor_error(self, order):
+        rows = np.asarray(np.array([[0, 1, 2], [0, 1, 1], [0, 2, 1], [0, 0, 3], [1, 0, 0]], dtype=">i2"), order=order)
+        with pytest.raises(ValueError) as expected:
+            Partition((0, 2, 1))  # the first bad row
+        for build in (Partition._from_rows, column_zip_partitions):
+            with pytest.raises(ValueError) as raised:
+                build(rows)
+            assert str(raised.value) == str(expected.value)
+
+    def test_listings_match_the_column_zip(self):
+        listed = json.loads(POOL.read_text(encoding="utf-8"))["listed"]
+        hs = [MixedHypergraph(inst["n"], inst["c_edges"], inst["d_edges"]) for inst in listed[::16]]
+        for h in hs + [MixedHypergraph(n) for n in range(1, 9)]:
+            assert all_feasible_partitions(h) == column_zip_partitions(coloring._partition_rows(h))
+            for k in range(1, h.n + 1):
+                assert enumerate_strict(h, k) == column_zip_partitions(coloring._partition_rows(h, k))
 
 
 class TestListingLeavesTheCollector:
