@@ -15,7 +15,6 @@ import json
 import re
 import sys
 import time
-from itertools import islice
 from typing import Iterable, NoReturn, Optional
 
 from . import coloring, documents, search
@@ -69,13 +68,38 @@ def _parse_int_set(text: str) -> set[int]:
 
 
 def _print_json(obj) -> None:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, written in
-    joined batches of 2^16 of the encoder's pieces: a long listing is never
-    one string, and a write per piece would cost more than the encoding."""
-    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    for batch in iter(lambda: "".join(islice(pieces, 1 << 16)), ""):
-        sys.stdout.write(batch)
-    print()
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline.  A
+    report's ``colorings`` are written in batches of 4,096, each one compact
+    ``json.dumps`` laid out by ``_coloring_lines``: a long listing is never
+    one string, and the C encoder with fixed replacements is about 3x faster
+    than the indenting encoder, which runs in Python."""
+    colorings = obj.get("colorings")
+    if not colorings:
+        print(json.dumps(obj, indent=2, sort_keys=True))
+        return
+    # the report around its colorings: the placeholder 0 is the only value
+    # of that key, and a quote inside a JSON string is escaped
+    head, _, tail = json.dumps({**obj, "colorings": 0}, indent=2, sort_keys=True).partition('"colorings": 0')
+    sys.stdout.write(head + '"colorings": [\n    ')
+    for at in range(0, len(colorings), 1 << 12):
+        sys.stdout.write((",\n    " if at else "") + _coloring_lines(colorings[at : at + (1 << 12)]))
+    print("\n  ]" + tail)
+
+
+def _coloring_lines(colorings: list) -> str:
+    """Nonempty ``colorings``, each a list of nonempty blocks of ints, laid
+    out as ``json.dumps(report, indent=2)`` lays out the items of a
+    top-level key, without the enclosing brackets.  Every ``]], [[`` of their
+    one-line JSON is a boundary between two colorings, every ``], [`` left
+    one between two blocks, and every ``, `` left one between two ints."""
+    return (
+        "[\n      [\n        "
+        + json.dumps(colorings)[3:-3]
+        .replace("]], [[", "\n      ]\n    ],\n    [\n      [\n        ")
+        .replace("], [", "\n      ],\n      [\n        ")
+        .replace(", ", ",\n        ")
+        + "\n      ]\n    ]"
+    )
 
 
 def _spectrum_report(

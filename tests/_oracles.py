@@ -15,9 +15,10 @@ The per-edge validation loop and the per-row document renderer are the core
 and document code as they were before their bulk checks and one-call
 rendering, and the edge-by-edge isomorphism profiles those of before they
 were counted per group of edges.  The per-edge row engine is
-the listing engine as it was before it tested closing edges by group, and
-the column-zip build the ``Partition`` build as it was before it unpacked
-each row's bytes.  The
+the listing engine as it was before it tested closing edges by group, the
+grouped row engine the listing engine as it was before it wrote those
+tests into one flat array of each row's blocks, and the column-zip build
+the ``Partition`` build as it was before it unpacked each row's bytes.  The
 popcount build of the partition masks is ``_partition_masks`` as it was
 before its subset recurrence.  The product of partition choices decides
 whether a set has a one-realization on ``n`` vertices among all mixed
@@ -38,7 +39,7 @@ import numpy as np
 
 from mixedhg import MixedHypergraph, Partition, is_proper
 from mixedhg.coloring import _partition_rows
-from mixedhg.core import Edge
+from mixedhg.core import Edge, _slices
 from mixedhg.constructions import TargetSet
 from mixedhg.documents import to_document
 from mixedhg.search import (
@@ -138,6 +139,54 @@ def per_edge_partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.n
                 allowed &= ~(mono[:, None] & (members[:, :1] == blocks))
         parent, b = np.nonzero(allowed)
         rows = np.column_stack((rows[parent], b.astype(np.int16)))
+        used = used[parent]
+        used += b == used
+        if k is not None:  # the vertices left can open at most one block each
+            live = used + (n - 1 - v) >= k
+            rows, used = rows[live], used[live]
+    return rows
+
+
+# --- the grouped row engine ---------------------------------------------------
+
+
+def grouped_partition_rows(h: MixedHypergraph, k: Optional[int] = None) -> np.ndarray:
+    """Every feasible partition of ``h`` (with exactly ``k`` blocks when
+    ``k`` is set) as one int16 restricted-growth row, in lexicographic order,
+    level by level with each group of closing edges tested through
+    edges x rows x blocks boolean arrays."""
+    n = h.n
+    # each edge once, under its last vertex, grouped by kind and number of
+    # other members: a group is tested on all rows at once
+    closing: list[dict[tuple[bool, int], list[tuple[int, ...]]]] = [defaultdict(list) for _ in range(n)]
+    for is_c, edges in ((True, h.c_edges), (False, h.d_edges)):
+        for e in edges:
+            closing[e[-1]][is_c, len(e) - 1].append(e[:-1])
+    rows = np.zeros((1, n), dtype=np.int16)  # full width: a level gathers its parents' rows and sets column v
+    used = np.ones(1, dtype=np.int16)  # blocks used by each row
+    for v in range(1, n):
+        blocks = np.arange(min(v + 1, n if k is None else k), dtype=np.int16)
+        allowed = blocks <= used[:, None]
+        for (is_c, _), group in closing[v].items():
+            for part in _slices(len(group), allowed.nbytes):  # edges x allowed within WORKING_BYTES
+                # edges x rows: the block of each edge's i-th other member
+                members = [rows[:, list(col)].T for col in zip(*group[part])]
+                first = members[0]
+                if is_c:  # a block is spared where it repeats a member or the edge is not rainbow
+                    spared = first[:, :, None] == blocks
+                    for i, m in enumerate(members[1:], start=1):
+                        spared |= m[:, :, None] == blocks
+                        for earlier in members[:i]:
+                            spared |= (m == earlier)[:, :, None]
+                    allowed &= spared.all(axis=0)
+                else:  # the first member's block is barred where every member shares it
+                    barred = first[:, :, None] == blocks
+                    for m in members[1:]:
+                        barred &= (m == first)[:, :, None]
+                    allowed &= ~barred.any(axis=0)
+        parent, b = np.nonzero(allowed)
+        rows = rows[parent]
+        rows[:, v] = b
         used = used[parent]
         used += b == used
         if k is not None:  # the vertices left can open at most one block each

@@ -10,6 +10,15 @@ from mixedhg.cli import _build_parser, _spectrum_report, main
 from mixedhg.documents import load_hashed, loads, save
 
 
+POOL = Path(__file__).resolve().parent.parent / "bench" / "sparse_pool.json"
+
+
+def pool_instance(i: int) -> MixedHypergraph:
+    """The ``i``-th instance the benchmark lists."""
+    inst = json.loads(POOL.read_text(encoding="utf-8"))["listed"][i]
+    return MixedHypergraph(inst["n"], inst["c_edges"], inst["d_edges"])
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -101,7 +110,7 @@ class TestSpectrum:
 
     def test_json_listing_is_written_in_batches_of_the_same_bytes(self, capsys, tmp_path):
         # the Bell(8) = 4,140 partitions of an edgeless document: more than
-        # 2^16 pieces of the encoder, so the report spans two batches
+        # one batch of 4,096 colorings, so the report spans two batches
         path = tmp_path / "edgeless8.json"
         save(MixedHypergraph(8, [], []), path)
         code, stdout, _ = run(capsys, "spectrum", str(path), "--list-colorings", "--format", "json")
@@ -110,8 +119,29 @@ class TestSpectrum:
         partitions = coloring.all_feasible_partitions(h)
         report = _spectrum_report(str(path), sha256, h, coloring.chromatic_spectrum(h), partitions)
         assert stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
-        assert len(report["colorings"]) == 4140
-        assert sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)) > 1 << 16
+        assert len(report["colorings"]) == 4140 > 1 << 12
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            MixedHypergraph(2, [(0, 1)], [(0, 1)]),  # "colorings": []
+            MixedHypergraph(1),
+            MixedHypergraph(6),
+            pool_instance(0),
+        ],
+        ids=["uncolorable", "one-vertex", "edgeless-6", "sparse-pool-0"],
+    )
+    def test_json_listing_is_the_indenting_encoders_bytes(self, capsys, tmp_path, h):
+        # a path with quotes, backslashes and the placeholder the report is split at
+        path = tmp_path / 'a "colorings": 0 \\ b.json'
+        save(h, path)
+        code, stdout, _ = run(capsys, "spectrum", str(path), "--list-colorings", "--format", "json")
+        assert code == 0
+        h, sha256 = load_hashed(str(path))
+        partitions = coloring.all_feasible_partitions(h)
+        report = _spectrum_report(str(path), sha256, h, coloring.chromatic_spectrum(h), partitions)
+        assert stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert len(report["colorings"]) == sum(report["spectrum"])
 
     def test_edgeless_counts_follow_partition_numbers(self, capsys, tmp_path):
         path = tmp_path / "free3.json"

@@ -9,6 +9,7 @@ import os
 import pickle
 import random
 import re
+import tracemalloc
 from pathlib import Path
 from typing import Optional
 
@@ -46,6 +47,7 @@ from _oracles import (
     brute_force_spectrum,
     column_zip_partitions,
     dict_frontier_counts,
+    grouped_partition_rows,
     leave_points,
     neighbourhoods,
     per_edge_partition_rows,
@@ -445,6 +447,21 @@ def mixed_hypergraphs(draw, max_n=7, sizes=(2, 3, 4)):
     return MixedHypergraph(n, draw(edges), draw(edges))
 
 
+CLOSING_GROUPS = [
+    MixedHypergraph(5, [(0, 1)], [(0, 1)]),  # uncolorable bi-edge
+    # several edges of one kind and size close at vertex 6, and at 5
+    MixedHypergraph(
+        7,
+        [(0, 5), (1, 5), (0, 1, 6), (2, 3, 6), (1, 4, 6), (0, 5, 6), (0, 1, 2, 6), (2, 3, 4, 6)],
+        [(2, 5), (4, 5), (0, 6), (2, 6), (3, 6), (3, 4, 6), (1, 5, 6), (0, 1, 2, 3, 6), (1, 2, 4, 5, 6)],
+    ),
+    MixedHypergraph(8, [(0, 7), (1, 7), (2, 7)], [(3, 4, 7), (4, 5, 7), (3, 6, 7), (5, 6, 7)]),
+]
+CLOSING_GROUP_IDS = ["bi-edge", "groups-at-5-and-6", "groups-at-7"]
+# vertex 11 apart from every other vertex: its Bell(11) partitions
+D_PAIR_STAR = MixedHypergraph(12, [], [(i, 11) for i in range(11)])
+
+
 class TestListing:
     @staticmethod
     def check_against_the_walk_and_the_oracle(h):
@@ -480,46 +497,68 @@ class TestListing:
         assert all(enumerate_strict(h, k) == [] for k in range(1, 6))
 
     @staticmethod
-    def check_rows_against_the_per_edge_loop(h):
+    def check_rows(h, oracle=per_edge_partition_rows):
         for k in [None, *range(1, h.n + 1)]:
-            got, expected = coloring._partition_rows(h, k), per_edge_partition_rows(h, k)
+            got, expected = coloring._partition_rows(h, k), oracle(h, k)
             assert got.dtype == expected.dtype == np.int16 and got.shape == expected.shape, k
             assert (got == expected).all(), k
 
     @settings(max_examples=120, deadline=None)
     @given(mixed_hypergraphs(sizes=(2, 3, 4, 5)))
     def test_grouped_test_matches_the_per_edge_loop(self, h):
-        self.check_rows_against_the_per_edge_loop(h)
+        self.check_rows(h)
+
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_hypergraphs(sizes=(2, 3, 4, 5)))
+    def test_rows_match_the_grouped_engine(self, h):
+        self.check_rows(h, grouped_partition_rows)
 
     @pytest.mark.parametrize("limit", [None, 64, 1])
-    @pytest.mark.parametrize(
-        "h",
-        [
-            MixedHypergraph(5, [(0, 1)], [(0, 1)]),  # uncolorable bi-edge
-            # several edges of one kind and size close at vertex 6, and at 5
-            MixedHypergraph(
-                7,
-                [(0, 5), (1, 5), (0, 1, 6), (2, 3, 6), (1, 4, 6), (0, 5, 6), (0, 1, 2, 6), (2, 3, 4, 6)],
-                [(2, 5), (4, 5), (0, 6), (2, 6), (3, 6), (3, 4, 6), (1, 5, 6), (0, 1, 2, 3, 6), (1, 2, 4, 5, 6)],
-            ),
-            MixedHypergraph(8, [(0, 7), (1, 7), (2, 7)], [(3, 4, 7), (4, 5, 7), (3, 6, 7), (5, 6, 7)]),
-        ],
-        ids=["bi-edge", "groups-at-5-and-6", "groups-at-7"],
-    )
+    @pytest.mark.parametrize("h", CLOSING_GROUPS, ids=CLOSING_GROUP_IDS)
     def test_closing_groups_match_the_per_edge_loop(self, working_bytes, h, limit):
-        # a small budget splits a group's edges across several tests (one
-        # byte per bool of a test's arrays)
+        # a small budget splits a group's edges across several tests (each
+        # edge's entries take eight bytes a row)
         if limit is not None:
             working_bytes(limit)
-        self.check_rows_against_the_per_edge_loop(h)
+        self.check_rows(h)
+
+    @pytest.mark.parametrize("limit", [None, 64, 1])
+    @pytest.mark.parametrize("h", CLOSING_GROUPS + [D_PAIR_STAR], ids=CLOSING_GROUP_IDS + ["d-pair-star-12"])
+    def test_closing_groups_match_the_grouped_engine(self, working_bytes, h, limit):
+        # the star closes eleven D-pairs at vertex 11 on Bell(11) rows, a
+        # group split even under the default budget
+        if limit is not None:
+            working_bytes(limit)
+        self.check_rows(h, grouped_partition_rows)
 
     def test_pool_instances_match_the_per_edge_loop(self):
         # C-triples and D-pairs on 12-14 vertices, as the benchmark lists them
         listed = json.loads(POOL.read_text(encoding="utf-8"))["listed"]
         for inst in listed[::16]:
             h = MixedHypergraph(inst["n"], inst["c_edges"], inst["d_edges"])
-            self.check_rows_against_the_per_edge_loop(h)
+            self.check_rows(h)
             assert len(coloring._partition_rows(h)) == sum(inst["spectrum"])
+
+    def test_pool_instances_match_the_grouped_engine(self):
+        # all 64 instances the benchmark lists
+        listed = json.loads(POOL.read_text(encoding="utf-8"))["listed"]
+        assert len(listed) == 64
+        for inst in listed:
+            h = MixedHypergraph(inst["n"], inst["c_edges"], inst["d_edges"])
+            self.check_rows(h, grouped_partition_rows)
+            assert len(coloring._partition_rows(h)) == sum(inst["spectrum"])
+
+    @pytest.mark.parametrize("h", [D_PAIR_STAR, MixedHypergraph(10)], ids=["d-pair-star-12", "edgeless-10"])
+    def test_peak_memory_is_no_more_than_the_grouped_engine(self, h):
+        peaks = []
+        for engine in (grouped_partition_rows, coloring._partition_rows):
+            tracemalloc.start()
+            try:
+                engine(h)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0], peaks
 
     def test_rows_are_int16_and_lexicographic(self):
         rows = coloring._partition_rows(MixedHypergraph(6, [], []))
