@@ -199,8 +199,9 @@ def is_proper(h: MixedHypergraph, p: Partition) -> bool:
 # lexicographic order.  Vertex v extends each row by every block it may take:
 # an old block or the next unused one, and below k when k is set.  These are
 # the true entries of one flat boolean array, ``row << shift | block``, each
-# row padded to a power of two of entries, so that one ``np.flatnonzero``
-# and a shift and a mask give every child's parent and block.  Each edge is
+# row padded to a power of two of entries and taken from one table row per
+# count of blocks used, so that one ``np.flatnonzero`` and a shift and a
+# mask give every child's parent and block.  Each edge is
 # filed once, under its last vertex, in a group of edges of one kind and
 # size; at v a group gathers its members' blocks once (edges x rows) and
 # writes into the flat array: a D-edge whose other members share a block
@@ -244,12 +245,9 @@ def _allowed_blocks(
     """The blocks each row may give the next vertex: entry
     ``row << shift | block`` of one flat boolean array, after the closing
     ``groups`` of edges (by kind and number of other members) are tested."""
-    # a row with u blocks used may take blocks 0..u, none at or past k
-    blocks = np.arange(1 << shift)
-    if len(rows) > width:  # one table row per value of u, taken: about 8x faster than comparing each row
-        grid = (blocks <= np.arange(width + 1).clip(max=width - 1)[:, None]).take(used, axis=0)
-    else:  # fewer rows than the table would have
-        grid = blocks <= used.clip(max=width - 1)[:, None]
+    # a row with u blocks used may take blocks 0..u, none at or past k: one
+    # table row per value of u, taken (about 8x faster than comparing each row)
+    grid = (np.arange(1 << shift) <= np.arange(width + 1).clip(max=width - 1)[:, None]).take(used, axis=0)
     allowed = grid.reshape(-1)
     # each row's entries as one item: clearing rows is a 1-D assignment,
     # about 5x faster than clearing rows of the 2-D array
@@ -455,10 +453,6 @@ def _frontier_counts(h: MixedHypergraph, order: Sequence[int], leave: Sequence[i
 # --- public operations ------------------------------------------------------
 
 
-def _partitions(h: MixedHypergraph, k: Optional[int]) -> list[Partition]:
-    return Partition._from_rows(_partition_rows(h, k))
-
-
 def enumerate_strict(h: MixedHypergraph, k: int) -> list[Partition]:
     """All feasible partitions of ``h`` into exactly ``k`` blocks, in
     lexicographic restricted-growth order."""
@@ -466,13 +460,13 @@ def enumerate_strict(h: MixedHypergraph, k: int) -> list[Partition]:
         raise ValueError(f"k must be an int, got {_quote(k)}")
     if not 1 <= k <= h.n:
         raise ValueError(f"k={k} out of range 1..{h.n}")
-    return _partitions(h, k)
+    return Partition._from_rows(_partition_rows(h, k))
 
 
 def all_feasible_partitions(h: MixedHypergraph, jobs: int = 1) -> list[Partition]:
     """Every feasible partition of ``h`` (any block count), in lexicographic
     restricted-growth order."""
-    return _partitions(h, None)
+    return Partition._from_rows(_partition_rows(h))
 
 
 def chromatic_spectrum(h: MixedHypergraph, jobs: int = 1) -> Spectrum:

@@ -560,6 +560,22 @@ class TestListing:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0], peaks
 
+    @pytest.mark.parametrize("v", [1, 2, 3, 5, 8])
+    def test_block_grid_at_few_rows(self, v):
+        # with no closing edges, a row with u blocks used may take blocks
+        # 0..u below the width, whether the level has fewer rows than the
+        # width or more
+        rng = np.random.default_rng(v)
+        for k in [None, *range(1, v + 1)]:  # k unset, and every k below v + 1
+            width = v + 1 if k is None else k
+            shift = (width - 1).bit_length()
+            for count in range(1, width + 3):
+                used = rng.integers(1, min(v, width) + 1, count).astype(np.int16)
+                rows = np.zeros((count, v + 1), dtype=np.int16)
+                got = coloring._allowed_blocks(rows, used, width, shift, {})
+                expected = (np.arange(1 << shift) <= np.minimum(used, width - 1)[:, None]).reshape(-1)
+                assert got.dtype == bool and got.shape == expected.shape and (got == expected).all(), (k, count)
+
     def test_rows_are_int16_and_lexicographic(self):
         rows = coloring._partition_rows(MixedHypergraph(6, [], []))
         assert rows.dtype == np.int16 and rows.shape == (203, 6)
