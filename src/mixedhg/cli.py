@@ -15,6 +15,7 @@ import json
 import re
 import sys
 import time
+from contextlib import suppress
 from typing import Iterable, NoReturn, Optional
 
 from . import coloring, documents, search
@@ -30,7 +31,8 @@ from .core import MixedHypergraph, _cut, _quote, are_isomorphic
 
 # the most bytes of UTF-8 that a usage error's message keeps
 USAGE_MESSAGE_BYTES = 256
-# an integer of --set: int() alone would also take "1_0" and non-ASCII digits
+# an integer on the command line: int() alone would also take "1_0" and
+# non-ASCII digits
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
@@ -44,16 +46,22 @@ class _Parser(argparse.ArgumentParser):
         super().error(_cut(message, USAGE_MESSAGE_BYTES))
 
 
+def _parse_int(text: str) -> int:
+    """An integer on the command line: ASCII digits with an optional sign,
+    spaces around them allowed.  Refused, it raises the error that argparse
+    reports as a usage error."""
+    if _DECIMAL.fullmatch(text.strip()):
+        with suppress(ValueError):  # more digits than int() converts
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_ints(text: str) -> list[int]:
-    """The integers of a comma-separated list: ASCII digits with an optional
-    sign, spaces around them and empty parts allowed."""
-    parts = [part.strip() for part in text.split(",")]
+    """The integers of a comma-separated list; empty parts are allowed."""
     try:
-        if all(map(_DECIMAL.fullmatch, filter(None, parts))):
-            return [int(part) for part in parts if part]
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ValueError(f"--set expects comma-separated integers, got {_quote(text)}")
+        return [_parse_int(part) for part in text.split(",") if part.strip()]
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"--set expects comma-separated integers, got {_quote(text)}") from None
 
 
 def _parse_target_set(text: str) -> TargetSet:
@@ -155,14 +163,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if delta > VERTEX_CAP:
         raise ValueError(f"target set needs {delta} vertices, above the construction cap of {VERTEX_CAP}")
     h = _BUILDERS[args.variant](ts)
-    text = documents.dumps(h)
     summary = f"vertices={h.n} delta={delta}"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        documents.save(h, args.out)
         print(summary)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(documents.dumps(h))
         print(summary, file=sys.stderr)
     return 0
 
@@ -278,11 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-min", help="bounded exhaustive search for small one-realizations")
     p.add_argument("--set", required=True, help="target set, e.g. 3,2")
-    p.add_argument("--n", type=int, required=True, help="vertex count to search")
+    p.add_argument("--n", type=_parse_int, required=True, help="vertex count to search")
     budget = search.SearchBudget()
-    p.add_argument("--c-size", type=int, default=budget.c_edge_size, help="uniform C-edge size")
-    p.add_argument("--d-size", type=int, default=budget.d_edge_size, help="uniform D-edge size")
-    p.add_argument("--max-candidates", type=int, default=budget.max_candidates)
+    p.add_argument("--c-size", type=_parse_int, default=budget.c_edge_size, help="uniform C-edge size")
+    p.add_argument("--d-size", type=_parse_int, default=budget.d_edge_size, help="uniform D-edge size")
+    p.add_argument("--max-candidates", type=_parse_int, default=budget.max_candidates)
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.set_defaults(func=_cmd_search_min)
 
@@ -306,9 +312,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     args = _build_parser().parse_args(argv if argv is None else list(argv))
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # as str(exc), but with an OSError's file names quoted
-        names = " -> ".join(_quote(f) for f in (getattr(exc, "filename", None), getattr(exc, "filename2", None)) if f)
-        print(f"error: [Errno {exc.errno}] {exc.strerror}: {names}" if names else f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # as str(exc), but with an OSError's file name quoted
+        name = getattr(exc, "filename", None)
+        print(f"error: [Errno {exc.errno}] {exc.strerror}: {_quote(name)}" if name else f"error: {exc}", file=sys.stderr)
         return 2
 
 

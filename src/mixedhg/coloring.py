@@ -1,26 +1,22 @@
-"""Exhaustive strict-coloring enumeration, chromatic spectra, and gap queries.
+"""Feasible partitions of mixed hypergraphs: listing, chromatic spectra, gaps.
 
 Colorings are counted as partitions of the vertex set (color names do not
-matter), encoded canonically as restricted-growth strings: vertex 0 is in
-block 0 and every later vertex uses either an existing block index or the
-next unused one.  Listing is level by level in vertex id order, one
-vectorised step per vertex over all partial partitions at once, so results
-always come out in lexicographic restricted-growth order; at each vertex the
-edges it closes are tested by group (one kind and size) and written into one
-flat boolean array of the blocks each row may take: a D-edge group clears
-entries by one scatter, and a C-edge touches only the rows where its other
-members are rainbow.  The rows are checked once, in numpy, over contiguous
-copies of their columns; the listed ``Partition`` objects are then built in
-bulk, each assignment tuple unpacked by ``struct`` from its row's bytes,
-with the process's cyclic garbage collector paused while they are made
-(re-enabled afterwards only if it was enabled; a thread that runs meanwhile
-runs with it paused too).  Counting is a frontier dynamic programme along id
-order when every vertex shares an edge with every other, else along
-one greedy vertex order, and never visits a partition one by one; it has
-quick rules for D-pairs and C-triples, the edges of the paper's
-constructions, and one general rule per kind for every other edge.  Every
-operation runs in this process: ``all_feasible_partitions`` and
-``chromatic_spectrum`` accept ``jobs``, ignore it, and start no workers.
+matter), encoded as restricted-growth strings: vertex 0 is in block 0 and
+every later vertex takes an existing block or the next unused one.
+
+- ``enumerate_strict`` and ``all_feasible_partitions`` list partitions in
+  lexicographic restricted-growth order and take no cap; the CLI's listing
+  stops at ``LIST_CAP``.
+- ``chromatic_spectrum`` and ``feasible_set`` count without listing, by a
+  frontier programme in the spirit of the splitting-contraction recurrence
+  of Voloshin, *Coloring Mixed Hypergraphs* (AMS, 2002).
+- While a listing builds its ``Partition`` objects, the cyclic garbage
+  collector is paused for the whole process and re-enabled afterwards, also
+  on an error, only if it was enabled: another thread's allocations go
+  uncollected for those milliseconds, and a thread that switches the
+  collector meanwhile may find its setting undone.
+- Everything runs in this process: ``all_feasible_partitions`` and
+  ``chromatic_spectrum`` accept ``jobs``, ignore it, and start no workers.
 """
 
 from __future__ import annotations
@@ -302,7 +298,7 @@ def _allowed_blocks(
 
 def _greedy_order(near: list[list[int]]) -> list[int]:
     """Next is the unplaced vertex with the most placed neighbours, ties to
-    the lowest id."""
+    the lowest id, so on a complete primal graph it is id order."""
     score = [0] * len(near)
     unplaced = list(range(len(near)))
     order = []

@@ -87,12 +87,12 @@ def _label_edges(labels: list[Label]) -> tuple[list[list[int]], list[list[int]]]
     values at every coordinate.  D-edges: the pairs whose labels differ at
     every coordinate.  Both are read off the agreement words
     ``agree[w, i, j]``, bits ``64*w .. 64*w + 63`` of the coordinates at
-    which labels ``i`` and ``j`` agree (``core._packed``); a label's words
-    with itself have every coordinate set.  The triples are tested a run of
-    first vertices at a time (``core._slices``), each first vertex counted
-    as all the agreement words, which bound its triple test's m x m words
-    per plane for its m later vertices.  ``argwhere`` yields them in
-    lexicographic order."""
+    which labels ``i`` and ``j`` agree (``core._packed``, from n x n x s
+    unpacked bytes); a label's words with itself have every coordinate set.
+    The triples are tested a run of first vertices at a time
+    (``core._slices``), each first vertex counted as all the agreement
+    words, which bound its triple test's m x m words per plane for its m
+    later vertices.  ``argwhere`` yields them in lexicographic order."""
     n = len(labels)
     lab = np.array(labels)
     agree = np.ascontiguousarray(core._packed(lab[:, None] == lab[None]).transpose(2, 0, 1))

@@ -231,7 +231,7 @@ class IsoMapping:
 def is_isomorphism(h1: MixedHypergraph, h2: MixedHypergraph, mapping: Iterable[int]) -> bool:
     """Check that ``mapping`` sends C-edges onto C-edges and D-edges onto D-edges."""
     m = tuple(mapping)
-    if h1.n != h2.n or sorted(m) != list(range(h1.n)):
+    if h1.n != h2.n or not set(map(type, m)) <= {int} or sorted(m) != list(range(h1.n)):
         return False
 
     def image(edges: tuple[Edge, ...]) -> set[Edge]:

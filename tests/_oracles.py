@@ -49,7 +49,6 @@ from mixedhg.search import (
     VERTEX_CAP,
     _or_table,
     _partition_masks,
-    edge_subsets,
     hypergraph_from_masks,
 )
 
@@ -491,8 +490,8 @@ def layer_scan_search(
     if n > VERTEX_CAP:
         raise ValueError(f"n={n} exceeds the search cap of {VERTEX_CAP} vertices")
 
-    c_subsets = edge_subsets(n, budget.c_edge_size)
-    d_subsets = edge_subsets(n, budget.d_edge_size)
+    c_subsets = list(combinations(range(n), budget.c_edge_size))
+    d_subsets = list(combinations(range(n), budget.d_edge_size))
     nc, nd = len(c_subsets), len(d_subsets)
     total = 1 << (nc + nd)
     if total > budget.max_candidates:

@@ -461,6 +461,23 @@ class TestDeltaAndGaps:
         expected = f"error: --set expects comma-separated integers, got {argv[-1]!r}\n"
         assert run(capsys, *argv) == (2, "", expected)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--n", "٣"), ("--n", "0_3"), ("--c-size", "３"), ("--d-size", "0_2"), ("--max-candidates", "1_000"),
+         ("--n", "x")],
+    )
+    def test_numbers_take_only_ascii_digits(self, capsys, option, value):
+        # int() alone reads "٣" and "３" as 3 and "1_000" as 1000
+        with pytest.raises(SystemExit) as exc:
+            main(["search-min", "--set", "3,2", "--n", "3", option, value])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+    def test_numbers_allow_spaces_and_signs(self, capsys):
+        code, stdout, _ = run(capsys, "search-min", "--set", "3,2", "--n", " 3 ", "--c-size", "+3")
+        assert (code, stdout.splitlines()[0]) == (0, "outcome: witness-found")
+
     @pytest.mark.parametrize("value", ["4, 2", "+4,2", " 4 ,2,", "4,,2"])
     def test_set_allows_spaces_signs_and_empty_parts(self, capsys, value):
         assert run(capsys, "delta", "--set", value) == (0, "6\n", "")

@@ -396,6 +396,13 @@ class TestIsomorphism:
         assert witness is not None
         assert is_isomorphism(h, h, witness.mapping)
 
+    def test_mapping_takes_only_ints(self):
+        # 1.0 and True equal 1 and would sort into a permutation of 0..2
+        h = MixedHypergraph(3, [(0, 1, 2)], [(0, 1)])
+        assert is_isomorphism(h, h, [1, 0, 2])
+        for mapping in ([1.0, 0.0, 2.0], [True, False, 2], [1, 0, "2"]):
+            assert not is_isomorphism(h, h, mapping)
+
     def test_edge_kinds_must_match(self):
         c_pair = MixedHypergraph(2, [(0, 1)], [])
         d_pair = MixedHypergraph(2, [], [(0, 1)])

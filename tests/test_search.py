@@ -36,7 +36,6 @@ from mixedhg.search import (
     _layer_until,
     canonical_keys,
     class_counts,
-    edge_subsets,
     hypergraph_from_masks,
 )
 
@@ -274,8 +273,8 @@ class TestBoundedSearch:
 class TestCanonicalKeys:
     def test_equal_keys_mean_isomorphic(self):
         n = 3
-        c_subsets = edge_subsets(n, 3)
-        d_subsets = edge_subsets(n, 2)
+        c_subsets = list(itertools.combinations(range(n), 3))
+        d_subsets = list(itertools.combinations(range(n), 2))
         nd = len(d_subsets)
         keys = canonical_keys(n, 3, 2, np.arange(1 << (len(c_subsets) + nd)))
         by_key: dict[int, list[int]] = {}
@@ -291,8 +290,8 @@ class TestCanonicalKeys:
 
     def test_distinct_keys_mean_non_isomorphic(self):
         n = 3
-        c_subsets = edge_subsets(n, 3)
-        d_subsets = edge_subsets(n, 2)
+        c_subsets = list(itertools.combinations(range(n), 3))
+        d_subsets = list(itertools.combinations(range(n), 2))
         nd = len(d_subsets)
         keys = canonical_keys(n, 3, 2, np.arange(1 << (len(c_subsets) + nd)))
         reps: dict[int, int] = {}
@@ -309,7 +308,7 @@ class TestCanonicalKeys:
 
     @pytest.mark.parametrize("n,c_size,d_size", [(4, 3, 2), (5, 3, 2), (5, 2, 3)])
     def test_match_the_per_permutation_keys(self, n, c_size, d_size):
-        c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+        c_subsets, d_subsets = (list(itertools.combinations(range(n), size)) for size in (c_size, d_size))
         total = 1 << (len(c_subsets) + len(d_subsets))
         flats = np.array(sorted(random.Random(n).sample(range(total), min(total, 3000))))
         expected = per_permutation_keys(n, c_subsets, d_subsets, flats)
@@ -317,7 +316,7 @@ class TestCanonicalKeys:
 
     def test_small_chunks_give_the_same_keys(self, working_bytes):
         n = 4
-        c_subsets, d_subsets = edge_subsets(n, 3), edge_subsets(n, 2)
+        c_subsets, d_subsets = (list(itertools.combinations(range(n), size)) for size in (3, 2))
         flats = np.arange(1 << (len(c_subsets) + len(d_subsets)))
         whole = canonical_keys(n, 3, 2, flats)
         working_bytes(7 * 24 * 8)  # 7 candidates of 24 permutations a chunk
@@ -325,8 +324,8 @@ class TestCanonicalKeys:
 
     def test_identity_key_bounds(self):
         n = 4
-        c_subsets = edge_subsets(n, 3)
-        d_subsets = edge_subsets(n, 2)
+        c_subsets = list(itertools.combinations(range(n), 3))
+        d_subsets = list(itertools.combinations(range(n), 2))
         nd = len(d_subsets)
         keys = canonical_keys(n, 3, 2, np.arange(1 << (len(c_subsets) + nd)))
         flat = np.arange(len(keys), dtype=np.int64)
@@ -342,7 +341,7 @@ class TestCanonicalKeys:
 def class_scan(ts, n, c_size, d_size):
     """Reference search: spectrum-test the first candidate of each
     isomorphism class in candidate order, stop at the first one-realization."""
-    c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+    c_subsets, d_subsets = (list(itertools.combinations(range(n), size)) for size in (c_size, d_size))
     nd = len(d_subsets)
     total = 1 << (len(c_subsets) + nd)
     order = sorted(range(total), key=lambda f: (f.bit_count(), f))
@@ -405,7 +404,7 @@ class TestKillMasks:
     def test_hits_match_brute_force(self):
         # one word of partitions at n=5, four at n=6
         for n, c_size, d_size in ((5, 3, 2), (6, 2, 5)):
-            c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+            c_subsets, d_subsets = (list(itertools.combinations(range(n), size)) for size in (c_size, d_size))
             nd = len(d_subsets)
             kill_c, kill_d, blocks = kill_tables(n, c_subsets, d_subsets)
             assert kill_c.shape[1] == (1 if n == 5 else 4)
@@ -433,7 +432,7 @@ class TestKillMasks:
     def test_burnside_count_matches_the_keys(self, n):
         # per edge count m: the Polya count equals the distinct keys with m edges
         for c_size, d_size in itertools.product(range(2, n + 1), repeat=2):
-            c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+            c_subsets, d_subsets = (list(itertools.combinations(range(n), size)) for size in (c_size, d_size))
             flats = np.arange(1 << (len(c_subsets) + len(d_subsets)))
             keys = canonical_keys(n, c_size, d_size, flats)
             edges = np.bitwise_count(flats)
@@ -445,7 +444,7 @@ class TestKillMasks:
         # the cycle types read off the partitions' block shapes against
         # Burnside over all n! permutations, on every space within the cap
         for c_size, d_size in itertools.product(range(2, n + 1), repeat=2):
-            c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+            c_subsets, d_subsets = (list(itertools.combinations(range(n), size)) for size in (c_size, d_size))
             if len(c_subsets) + len(d_subsets) <= 26:
                 expected = subset_image_class_counts(n, c_subsets, d_subsets)
                 assert class_counts(n, c_subsets, d_subsets) == tuple(expected), (c_size, d_size)
@@ -461,7 +460,7 @@ class TestKillMasks:
         # every pair of edge sizes, n + 1 with no subsets; at most 12 subsets
         # a side keeps the OR tables small at n=6
         for c_size, d_size in itertools.product(range(2, n + 2), repeat=2):
-            c_subsets, d_subsets = edge_subsets(n, c_size)[:12], edge_subsets(n, d_size)[:12]
+            c_subsets, d_subsets = (list(itertools.combinations(range(n), size))[:12] for size in (c_size, d_size))
             kill_c, kill_d, blocks = kill_tables(n, c_subsets, d_subsets)
             assert (len(kill_c), len(kill_d)) == (1 << len(c_subsets), 1 << len(d_subsets))
             for subsets, kills, killed in ((c_subsets, kill_c, len), (d_subsets, kill_d, lambda s: 1)):
@@ -471,7 +470,7 @@ class TestKillMasks:
                 # a mask's row is the OR of its subsets' rows
                 assert (kills[-1] == np.bitwise_or.reduce(kills[[1 << i for i in range(len(subsets))]])).all()
             assert [bits(row) for row in blocks] == [[max(p) + 1 == k for p in parts] for k in range(1, n + 1)]
-            if (c_subsets, d_subsets) == (edge_subsets(n, c_size), edge_subsets(n, d_size)):
+            if comb(n, c_size) <= 12 and comb(n, d_size) <= 12:
                 # where no list was cut, these are the candidate space's tables
                 space = search._space(n, c_size, d_size)
                 assert (space.kill_c == kill_c).all() and (space.kill_d == kill_d).all()
@@ -506,7 +505,7 @@ class TestWordHits:
         [((3, 2), 5, 3, 2), ((4, 3), 5, 3, 2), ((3, 2), 6, 3, 5), ((4, 2), 6, 5, 3), ((5, 4), 6, 2, 5)],
     )
     def test_real_pair_tables(self, values, n, c_size, d_size, monkeypatch):
-        c_subsets, d_subsets = edge_subsets(n, c_size), edge_subsets(n, d_size)
+        c_subsets, d_subsets = (list(itertools.combinations(range(n), size)) for size in (c_size, d_size))
         kill_c, kill_d, blocks = kill_tables(n, c_subsets, d_subsets)
         # every table the search builds
         calls = []
@@ -566,7 +565,7 @@ class TestSharedTables:
         assert peak <= mib << 20, peak
 
     def test_class_counts_are_new_lists(self):
-        c_subsets, d_subsets = edge_subsets(4, 3), edge_subsets(4, 2)
+        c_subsets, d_subsets = (list(itertools.combinations(range(4), size)) for size in (3, 2))
         counts = class_counts(4, c_subsets, d_subsets)
         assert class_counts(4, c_subsets, d_subsets) is not counts
         # a caller's list of the counts is its own
@@ -611,7 +610,8 @@ class TestSharedTables:
         warm = canonical_keys(5, 2, 3, flats)
         assert search._space.cache_info().hits == 1
         assert (cold == warm).all()
-        assert (cold == per_permutation_keys(5, edge_subsets(5, 2), edge_subsets(5, 3), flats)).all()
+        subsets = [list(itertools.combinations(range(5), size)) for size in (2, 3)]
+        assert (cold == per_permutation_keys(5, *subsets, flats)).all()
 
     def test_one_space_is_kept(self):
         search._space.cache_clear()
@@ -687,7 +687,8 @@ class TestPrune:
             sizes = [(3, 2), (2, 3), (2, 2), (3, 3), (4, 2)]
             targets = [v for r in (2, 3) for v in itertools.combinations(range(2, n + 1), r)]
             for (c_size, d_size), values in itertools.product(sizes, targets):
-                kill_c, kill_d, blocks = kill_tables(n, edge_subsets(n, c_size), edge_subsets(n, d_size))
+                subsets = [list(itertools.combinations(range(n), size)) for size in (c_size, d_size)]
+                kill_c, kill_d, blocks = kill_tables(n, *subsets)
                 want = np.isin(np.arange(1, n + 1), values)
                 kills, _ = _distinct_rows(kill_c)
                 hits = _hits(kills, kill_d, blocks, want)
