@@ -16,7 +16,9 @@ import re
 import sys
 import time
 from contextlib import suppress
-from typing import Iterable, NoReturn, Optional
+from typing import Iterable, Iterator, NoReturn, Optional
+
+import numpy as np
 
 from . import coloring, documents, search
 from .constructions import (
@@ -75,48 +77,51 @@ def _parse_int_set(text: str) -> set[int]:
     return values
 
 
-def _print_json(obj) -> None:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline.  A
-    report's ``colorings`` are written in batches of 4,096, each one compact
-    ``json.dumps`` laid out by ``_coloring_lines``: a long listing is never
-    one string, and the C encoder with fixed replacements is about 3x faster
-    than the indenting encoder, which runs in Python."""
-    colorings = obj.get("colorings")
-    if not colorings:
+def _print_json(obj, colorings: Optional[Iterable[tuple[int, list[str]]]] = None) -> None:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, with
+    ``obj["colorings"]`` written batch by batch from ``colorings``, when
+    given, as laid out by ``_coloring_texts``: a listing is never one string."""
+    if colorings is None:
         print(json.dumps(obj, indent=2, sort_keys=True))
         return
     # the report around its colorings: the placeholder 0 is the only value
     # of that key, and a quote inside a JSON string is escaped
     head, _, tail = json.dumps({**obj, "colorings": 0}, indent=2, sort_keys=True).partition('"colorings": 0')
-    sys.stdout.write(head + '"colorings": [\n    ')
-    for at in range(0, len(colorings), 1 << 12):
-        sys.stdout.write((",\n    " if at else "") + _coloring_lines(colorings[at : at + (1 << 12)]))
-    print("\n  ]" + tail)
+    sys.stdout.write(head + '"colorings": [')
+    at = None
+    for at, batch in colorings:
+        sys.stdout.write(("," if at else "") + "\n    " + ",\n    ".join(batch))
+    print(("]" if at is None else "\n  ]") + tail)
 
 
-def _coloring_lines(colorings: list) -> str:
-    """Nonempty ``colorings``, each a list of nonempty blocks of ints, laid
-    out as ``json.dumps(report, indent=2)`` lays out the items of a
-    top-level key, without the enclosing brackets.  Every ``]], [[`` of their
-    one-line JSON is a boundary between two colorings, every ``], [`` left
-    one between two blocks, and every ``, `` left one between two ints."""
-    return (
-        "[\n      [\n        "
-        + json.dumps(colorings)[3:-3]
-        .replace("]], [[", "\n      ]\n    ],\n    [\n      [\n        ")
-        .replace("], [", "\n      ],\n      [\n        ")
-        .replace(", ", ",\n        ")
-        + "\n      ]\n    ]"
-    )
+# the text before a vertex of a listed coloring, by report format: before
+# one in the block of the vertex before it, before the first vertex of the
+# next block, and before the coloring's first vertex; then the text after
+# its last vertex
+_COLORING_TOKENS = {
+    "json": (",\n        ", "\n      ],\n      [\n        ", "[\n      [\n        ", "\n      ]\n    ]"),
+    "human": (",", "} {", "{", "}"),
+}
 
 
-def _spectrum_report(
-    path: str,
-    sha256: str,
-    h: MixedHypergraph,
-    spectrum: coloring.Spectrum,
-    partitions: Optional[list[coloring.Partition]],
-) -> dict:
+def _coloring_texts(rows: np.ndarray, fmt: str) -> Iterator[tuple[int, list[str]]]:
+    """The colorings of restricted-growth ``rows``, each as the text that
+    report format ``fmt`` lists it by (its blocks ordered by smallest member), in
+    batches of 4,096, each after the number of colorings before it."""
+    *before, after = _COLORING_TOKENS[fmt]
+    n = rows.shape[1]
+    tokens = np.array([text + str(v) for text in before for v in range(n)], dtype=object)
+    for at in range(0, len(rows), 1 << 12):
+        batch = rows[at : at + (1 << 12)]
+        # a row's keys block * n + vertex (intp: n * n passes int16 from n = 182), sorted,
+        # give its vertices grouped by block and its blocks from 0 in steps of 0 or 1;
+        # those steps, with 2 before the first vertex, are the kinds of token
+        blocks, vertices = np.divmod(np.sort(batch.astype(np.intp) * n + np.arange(n), axis=1), n)
+        kinds = np.diff(blocks, axis=1, prepend=-2)
+        yield at, [text + after for text in map("".join, tokens[kinds * n + vertices].tolist())]
+
+
+def _spectrum_report(path: str, sha256: str, h: MixedHypergraph, spectrum: coloring.Spectrum) -> dict:
     feasible = list(spectrum.feasible_values())
     report = {
         "command": "spectrum",
@@ -129,12 +134,10 @@ def _spectrum_report(
     if spectrum.is_colorable:
         report["lower_chromatic_number"] = spectrum.lower_chromatic_number
         report["upper_chromatic_number"] = spectrum.upper_chromatic_number
-    if partitions is not None:
-        report["colorings"] = [p.blocks for p in partitions]
     return report
 
 
-def _print_spectrum_human(report: dict) -> None:
+def _print_spectrum_human(report: dict, colorings: Optional[Iterable[tuple[int, list[str]]]]) -> None:
     print(f"input: {report['input']['path']} (sha256 {report['input']['sha256']})")
     print(f"vertices: {report['vertex_count']}")
     print("spectrum: " + (" ".join(map(str, report["spectrum"])) or "(uncolorable)"))
@@ -147,14 +150,10 @@ def _print_spectrum_human(report: dict) -> None:
         )
     else:
         print("chromatic numbers: undefined")
-    if "colorings" in report:
+    if colorings is not None:
         print("colorings:")
-        for idx, blocks in enumerate(report["colorings"], start=1):
-            rendered = " ".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
-            print(f"  {idx}: {rendered}")
-
-
-_BUILDERS = {"auto": smallest_one_realization, "one": construct_one, "two": construct_two}
+        for at, batch in colorings:
+            sys.stdout.write("".join([f"  {i}: {text}\n" for i, text in enumerate(batch, at + 1)]))
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -162,7 +161,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     delta = minimum_size(ts)
     if delta > VERTEX_CAP:
         raise ValueError(f"target set needs {delta} vertices, above the construction cap of {VERTEX_CAP}")
-    h = _BUILDERS[args.variant](ts)
+    # looked up per call, so a builder swapped on this module is the one called
+    h = {"auto": smallest_one_realization, "one": construct_one, "two": construct_two}[args.variant](ts)
     summary = f"vertices={h.n} delta={delta}"
     if args.out:
         documents.save(h, args.out)
@@ -181,13 +181,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.list_colorings and total > coloring.LIST_CAP:
         print(f"error: {total} feasible partitions exceed the listing cap of {coloring.LIST_CAP}", file=sys.stderr)
         return 2
-    partitions = coloring.all_feasible_partitions(h) if args.list_colorings else None
+    colorings = _coloring_texts(coloring._partition_rows(h), args.format) if args.list_colorings else None
     print(f"elapsed_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
-    report = _spectrum_report(args.input, sha256, h, spectrum, partitions)
+    report = _spectrum_report(args.input, sha256, h, spectrum)
     if args.format == "json":
-        _print_json(report)
+        _print_json(report, colorings)
     else:
-        _print_spectrum_human(report)
+        _print_spectrum_human(report, colorings)
     return 0
 
 
@@ -267,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="generate a realization for a target set")
     p.add_argument("--set", required=True, help="target set, e.g. 4,2")
-    p.add_argument("--variant", choices=list(_BUILDERS), default="auto")
+    p.add_argument("--variant", choices=["auto", "one", "two"], default="auto")
     p.add_argument("--out", help="write the document here instead of stdout")
     p.set_defaults(func=_cmd_construct)
 

@@ -61,10 +61,9 @@ class Partition:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
         """Canonicalize explicit blocks (any order) into a partition."""
-        groups = [sorted(b) for b in blocks]
+        groups = [list(b) for b in blocks]  # unsorted: a string or None does not compare with an int
         if any(not g for g in groups):
             raise ValueError("blocks must be nonempty")
-        groups.sort(key=lambda g: g[0])
         assignment: dict[int, int] = {}
         for i, g in enumerate(groups):
             for v in g:
@@ -76,7 +75,8 @@ class Partition:
         n = len(assignment)
         if set(assignment) != set(range(n)):
             raise ValueError("blocks must cover exactly 0..n-1")
-        return cls(tuple(assignment[v] for v in range(n)))
+        number: dict[int, int] = {}  # each block's number, in the order of its smallest vertex
+        return cls(tuple(number.setdefault(assignment[v], len(number)) for v in range(n)))
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray) -> list["Partition"]:

@@ -3,6 +3,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixedhg import MixedHypergraph, TargetSet, coloring, construct_one, constructions
@@ -17,6 +18,20 @@ def pool_instance(i: int) -> MixedHypergraph:
     """The ``i``-th instance the benchmark lists."""
     inst = json.loads(POOL.read_text(encoding="utf-8"))["listed"][i]
     return MixedHypergraph(inst["n"], inst["c_edges"], inst["d_edges"])
+
+
+# documents whose listings are compared byte for byte; {129,2}'s 256
+# vertices and 129-block coloring sort on keys past int16, and the Bell(8) =
+# 4,140 colorings of edgeless-8 span two batches of 4,096
+LISTED = [
+    MixedHypergraph(2, [(0, 1)], [(0, 1)]),  # no colorings
+    MixedHypergraph(1),
+    MixedHypergraph(6),
+    pool_instance(0),
+    construct_one(TargetSet((129, 2))),
+    MixedHypergraph(8),
+]
+LISTED_IDS = ["uncolorable", "one-vertex", "edgeless-6", "sparse-pool-0", "paper-129-2", "edgeless-8"]
 
 
 def run(capsys, *argv):
@@ -56,6 +71,19 @@ class TestConstruct:
         assert run(capsys, "construct", "--set", "4")[0] == 2
         assert run(capsys, "construct", "--set", "4,x")[0] == 2
         assert run(capsys, "construct", "--set", "4,1")[0] == 2
+
+    def test_builder_is_looked_up_per_call(self, capsys, monkeypatch):
+        # a builder swapped on the cli module, as a tracer swaps it, is the one called
+        calls = []
+
+        def build(ts):
+            calls.append(ts)
+            return constructions.smallest_one_realization(ts)
+
+        monkeypatch.setattr("mixedhg.cli.smallest_one_realization", build)
+        code, stdout, _ = run(capsys, "construct", "--set", "4,2")
+        assert (code, calls) == (0, [TargetSet((4, 2))])
+        assert loads(stdout) == construct_one(TargetSet((4, 2)))
 
     def test_auto_picks_smaller_variant(self, capsys):
         code, stdout, _ = run(capsys, "construct", "--set", "3,2")
@@ -116,21 +144,12 @@ class TestSpectrum:
         code, stdout, _ = run(capsys, "spectrum", str(path), "--list-colorings", "--format", "json")
         assert code == 0
         h, sha256 = load_hashed(str(path))
-        partitions = coloring.all_feasible_partitions(h)
-        report = _spectrum_report(str(path), sha256, h, coloring.chromatic_spectrum(h), partitions)
+        report = _spectrum_report(str(path), sha256, h, coloring.chromatic_spectrum(h))
+        report["colorings"] = [p.blocks for p in coloring.all_feasible_partitions(h)]
         assert stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert len(report["colorings"]) == 4140 > 1 << 12
 
-    @pytest.mark.parametrize(
-        "h",
-        [
-            MixedHypergraph(2, [(0, 1)], [(0, 1)]),  # "colorings": []
-            MixedHypergraph(1),
-            MixedHypergraph(6),
-            pool_instance(0),
-        ],
-        ids=["uncolorable", "one-vertex", "edgeless-6", "sparse-pool-0"],
-    )
+    @pytest.mark.parametrize("h", LISTED[:5], ids=LISTED_IDS[:5])
     def test_json_listing_is_the_indenting_encoders_bytes(self, capsys, tmp_path, h):
         # a path with quotes, backslashes and the placeholder the report is split at
         path = tmp_path / 'a "colorings": 0 \\ b.json'
@@ -138,10 +157,40 @@ class TestSpectrum:
         code, stdout, _ = run(capsys, "spectrum", str(path), "--list-colorings", "--format", "json")
         assert code == 0
         h, sha256 = load_hashed(str(path))
-        partitions = coloring.all_feasible_partitions(h)
-        report = _spectrum_report(str(path), sha256, h, coloring.chromatic_spectrum(h), partitions)
+        report = _spectrum_report(str(path), sha256, h, coloring.chromatic_spectrum(h))
+        report["colorings"] = [p.blocks for p in coloring.all_feasible_partitions(h)]
         assert stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert len(report["colorings"]) == sum(report["spectrum"])
+
+    @pytest.mark.parametrize("h", LISTED, ids=LISTED_IDS)
+    def test_human_listing_numbers_each_coloring_by_its_blocks(self, capsys, tmp_path, h):
+        path = tmp_path / "h.json"
+        save(h, path)
+        code, report, _ = run(capsys, "spectrum", str(path))
+        assert code == 0
+        code, stdout, _ = run(capsys, "spectrum", str(path), "--list-colorings")
+        assert code == 0
+        lines = []
+        for idx, p in enumerate(coloring.all_feasible_partitions(h), start=1):
+            rendered = " ".join("{" + ",".join(map(str, b)) + "}" for b in p.blocks)
+            lines.append(f"  {idx}: {rendered}\n")
+        assert stdout == report + "colorings:\n" + "".join(lines)
+        assert len(lines) == sum(coloring.chromatic_spectrum(h).counts)
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_listing_builds_no_partitions(self, capsys, tmp_path, monkeypatch, fmt):
+        path = tmp_path / "edgeless5.json"
+        save(MixedHypergraph(5), path)
+        expected = run(capsys, "spectrum", str(path), "--list-colorings", "--format", fmt)
+
+        def refuse(rows):
+            raise AssertionError("the listing built Partition objects")
+
+        monkeypatch.setattr(coloring.Partition, "_from_rows", refuse)
+        code, stdout, _ = run(capsys, "spectrum", str(path), "--list-colorings", "--format", fmt)
+        assert (code, stdout) == expected[:2]
+        listed = json.loads(stdout)["colorings"] if fmt == "json" else stdout.partition("colorings:\n")[2].splitlines()
+        assert len(listed) == 52  # Bell(5)
 
     def test_edgeless_counts_follow_partition_numbers(self, capsys, tmp_path):
         path = tmp_path / "free3.json"
@@ -188,7 +237,7 @@ class TestSpectrum:
         # Bell(11) = 678,570 is under it; printing that many takes long, so
         # only check that the listing is reached
         listed = []
-        monkeypatch.setattr(coloring, "all_feasible_partitions", lambda h: listed.append(h.n) or [])
+        monkeypatch.setattr(coloring, "_partition_rows", lambda h: listed.append(h.n) or np.zeros((0, h.n), np.int16))
         assert run(capsys, "spectrum", edgeless[11], "--list-colorings")[0] == 0
         assert listed == [11]
 

@@ -103,6 +103,10 @@ class TestPartition:
             Partition.from_blocks([[0, True]])
         with pytest.raises(ValueError, match="not an integer"):
             Partition.from_blocks([[0], [1.0]])
+        # values that do not compare with an int are refused before any sorting
+        for blocks in ([[0, "a"]], [[0], ["a"]], [[0, None]]):
+            with pytest.raises(ValueError, match="not an integer"):
+                Partition.from_blocks(blocks)
 
     def test_huge_inputs_give_short_messages(self):
         for call in (lambda: Partition(tuple(range(1, 100_000))), lambda: Partition.from_blocks([["x" * 100_000]])):

@@ -1,6 +1,7 @@
 """Invariant checks on randomized instances (engine vs brute-force oracles)."""
 
 import itertools
+import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,8 @@ from mixedhg import (
     is_proper,
     minimum_size,
 )
+from mixedhg import coloring
+from mixedhg.cli import _coloring_texts
 from mixedhg.documents import dumps, loads
 
 from _oracles import (
@@ -157,6 +160,16 @@ def test_construction_size_and_colorings(ts):
 def test_partition_blocks_round_trip(h):
     for p in all_feasible_partitions(h):
         assert Partition.from_blocks(p.blocks) == p
+
+
+@settings(max_examples=60)
+@given(hypergraphs(max_n=7))
+def test_listed_coloring_texts_are_the_partitions_blocks(h):
+    listed = [p.blocks for p in all_feasible_partitions(h)]
+    rows = coloring._partition_rows(h)
+    human, in_json = ([t for _, batch in _coloring_texts(rows, fmt) for t in batch] for fmt in ("human", "json"))
+    assert human == [" ".join("{" + ",".join(map(str, b)) + "}" for b in blocks) for blocks in listed]
+    assert [json.loads(t) for t in in_json] == [list(map(list, blocks)) for blocks in listed]
 
 
 @given(hypergraphs(max_n=7))
